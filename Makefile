@@ -1,7 +1,7 @@
 GO ?= go
 NPROC ?= $(shell nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)
 
-.PHONY: build test vet race bench fleet-bench chaos-smoke mine-smoke fleet-demo ci serve
+.PHONY: build test vet race bench fleet-bench chaos-smoke mine-smoke verdictbench-check fleet-demo ci serve
 
 build:
 	$(GO) build ./...
@@ -52,11 +52,21 @@ fleet-bench:
 mine-smoke:
 	BENCH_MINE_OUT=$(CURDIR)/BENCH_mine.json $(GO) test -race -run 'TestMineSmoke|TestMinimize|TestMinerEmitsWitness' -count=1 -v -timeout 120s ./internal/mine/
 
+# The end-to-end benchmark (verdictbench/, declared in BENCHMARK.json) is
+# its own Go module, so `go test ./...` never reaches it. Run its tests,
+# then a short coherence-batch run: the bench checks every verdict against
+# the cat interpreter, and the target fails unless the result line says
+# "correct":true. Takes about half a minute.
+verdictbench-check:
+	cd verdictbench && $(GO) test ./...
+	@out=$$(bash verdictbench/run.sh --workload coherence-batch --seed 1 --seconds 3 --trace 0) && \
+		echo "$$out" && echo "$$out" | tail -n 1 | grep -q '"correct":true'
+
 # A local 2-node fleet behind herd-gw, for poking at failover by hand.
 fleet-demo: build
 	./scripts/fleet_demo.sh
 
-ci: vet test race chaos-smoke mine-smoke
+ci: vet test race chaos-smoke mine-smoke verdictbench-check
 
 # The litmus-simulation service (cmd/herdd): HTTP verdicts with a
 # content-addressed cache. See the "herdd" section of README.md.

@@ -305,3 +305,70 @@ func TestCompiledStandaloneExecutions(t *testing.T) {
 		}
 	}
 }
+
+// coherence2x10 is a two-thread, ten-location coherence test: both threads
+// store to every location, in different orders, and each loads one
+// location. Its executions have more than 64 events, so every relation
+// row spans two words.
+const coherence2x10 = `PPC coh2x10
+{ 0:r1=x0; 0:r2=x1; 0:r3=x2; 0:r4=x3; 0:r5=x4; 0:r6=x5; 0:r7=x6; 0:r8=x7; 0:r9=x8; 0:r10=x9; 1:r1=x0; 1:r2=x1; 1:r3=x2; 1:r4=x3; 1:r5=x4; 1:r6=x5; 1:r7=x6; 1:r8=x7; 1:r9=x8; 1:r10=x9; }
+ P0             | P1             ;
+ li r30,1       | lwz r31,0(r3)  ;
+ stw r30,0(r1)  | li r30,2       ;
+ li r30,1       | stw r30,0(r10) ;
+ stw r30,0(r2)  | li r30,2       ;
+ li r30,1       | stw r30,0(r5)  ;
+ stw r30,0(r3)  | li r30,2       ;
+ li r30,1       | stw r30,0(r1)  ;
+ stw r30,0(r4)  | li r30,2       ;
+ li r30,1       | stw r30,0(r8)  ;
+ stw r30,0(r5)  | li r30,2       ;
+ li r30,1       | stw r30,0(r3)  ;
+ stw r30,0(r6)  | li r30,2       ;
+ lwz r31,0(r6)  | stw r30,0(r6)  ;
+ li r30,1       | li r30,2       ;
+ stw r30,0(r7)  | stw r30,0(r9)  ;
+ li r30,1       | li r30,2       ;
+ stw r30,0(r8)  | stw r30,0(r2)  ;
+ li r30,1       | li r30,2       ;
+ stw r30,0(r9)  | stw r30,0(r7)  ;
+ li r30,1       | li r30,2       ;
+ stw r30,0(r10) | stw r30,0(r4)  ;
+exists (x5=1 /\ 1:r31=2)
+`
+
+// TestCompiledEquivalenceTwoWordRows: the corpus tests all have fewer than
+// 64 events, so TestCompiledEquivalenceZoo only exercises single-word
+// relation rows. This pins compiled ≡ interpreted on a test whose rows
+// span two words, under the models the coherence workloads use.
+func TestCompiledEquivalenceTwoWordRows(t *testing.T) {
+	tst, err := litmus.Parse(coherence2x10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := exec.Compile(tst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := 0
+	if err := p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
+		events = c.X.N()
+		return false
+	}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%s: %d events per execution", tst.Name, events)
+	if events < 90 {
+		t.Fatalf("%s has %d events, want at least 90", tst.Name, events)
+	}
+	for _, name := range []string{"tso", "power", "arm"} {
+		m, err := cat.Builtin(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := outcomeBytes(t, p, m.Interpreted(), 1)
+		if got := outcomeBytes(t, p, m, 1); string(got) != string(want) {
+			t.Errorf("%s: compiled outcome diverges on %d events\n got %s\nwant %s", name, events, got, want)
+		}
+	}
+}

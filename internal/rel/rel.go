@@ -52,9 +52,7 @@ func FromPairs(n int, pairs [][2]int) Rel {
 // Identity returns the identity relation over n elements.
 func Identity(n int) Rel {
 	r := New(n)
-	for i := 0; i < n; i++ {
-		r.Add(i, i)
-	}
+	r.UnionIdentity()
 	return r
 }
 
@@ -82,19 +80,19 @@ func (r Rel) check(i, j int) {
 // Add inserts the pair (i, j).
 func (r Rel) Add(i, j int) {
 	r.check(i, j)
-	r.row(i)[j/wordBits] |= 1 << (uint(j) % wordBits)
+	r.bits[i*r.words+j/wordBits] |= 1 << (uint(j) % wordBits)
 }
 
 // Remove deletes the pair (i, j).
 func (r Rel) Remove(i, j int) {
 	r.check(i, j)
-	r.row(i)[j/wordBits] &^= 1 << (uint(j) % wordBits)
+	r.bits[i*r.words+j/wordBits] &^= 1 << (uint(j) % wordBits)
 }
 
 // Has reports whether the pair (i, j) is in the relation.
 func (r Rel) Has(i, j int) bool {
 	r.check(i, j)
-	return r.row(i)[j/wordBits]&(1<<(uint(j)%wordBits)) != 0
+	return r.bits[i*r.words+j/wordBits]&(1<<(uint(j)%wordBits)) != 0
 }
 
 // trim clears bits beyond column n-1 (they can appear after Full or Complement).
@@ -151,48 +149,64 @@ func (r Rel) CopyFrom(s Rel) {
 // UnionInto adds every pair of s to r (r ∪= s).
 func (r Rel) UnionInto(s Rel) {
 	r.sameUniverse(s)
+	sb := s.bits[:len(r.bits)]
 	for i := range r.bits {
-		r.bits[i] |= s.bits[i]
+		r.bits[i] |= sb[i]
 	}
 }
 
 // InterInto keeps only the pairs of r also in s (r ∩= s).
 func (r Rel) InterInto(s Rel) {
 	r.sameUniverse(s)
+	sb := s.bits[:len(r.bits)]
 	for i := range r.bits {
-		r.bits[i] &= s.bits[i]
+		r.bits[i] &= sb[i]
 	}
 }
 
 // DiffInto removes every pair of s from r (r \= s).
 func (r Rel) DiffInto(s Rel) {
 	r.sameUniverse(s)
+	sb := s.bits[:len(r.bits)]
 	for i := range r.bits {
-		r.bits[i] &^= s.bits[i]
+		r.bits[i] &^= sb[i]
 	}
 }
 
 // SeqInto overwrites r with the composition a ; b. r must not alias a or b
 // (their buffers would be read while being written); a and b may alias each
-// other.
+// other. Only the set bits of a are visited, so the cost follows a's pair
+// count: each pair (i,j) ORs row j of b into row i.
 func (r Rel) SeqInto(a, b Rel) {
 	r.sameUniverse(a)
 	r.sameUniverse(b)
 	if len(r.bits) > 0 && (&r.bits[0] == &a.bits[0] || &r.bits[0] == &b.bits[0]) {
 		panic("rel: SeqInto destination aliases an operand")
 	}
+	if r.words == 1 {
+		for i, x := range a.bits {
+			var acc uint64
+			for ; x != 0; x &= x - 1 {
+				acc |= b.bits[bits.TrailingZeros64(x)]
+			}
+			r.bits[i] = acc
+		}
+		return
+	}
 	r.Clear()
-	for i := 0; i < r.n; i++ {
-		src := a.row(i)
-		dst := r.row(i)
-		for w, word := range src {
-			for word != 0 {
-				bit := bits.TrailingZeros64(word)
-				word &= word - 1
-				mid := b.row(w*wordBits + bit)
-				for k := range dst {
-					dst[k] |= mid[k]
-				}
+	W := r.words
+	for at, x := range a.bits {
+		if x == 0 {
+			continue
+		}
+		i, w := at/W, at%W
+		dst := r.bits[i*W : i*W+W]
+		for ; x != 0; x &= x - 1 {
+			j := w*wordBits + bits.TrailingZeros64(x)
+			mid := b.bits[j*W : j*W+W]
+			mid = mid[:len(dst)]
+			for k := range dst {
+				dst[k] |= mid[k]
 			}
 		}
 	}
@@ -206,29 +220,87 @@ func (r Rel) InverseInto(s Rel) {
 		panic("rel: InverseInto destination aliases the operand")
 	}
 	r.Clear()
+	W := r.words
 	for i := 0; i < s.n; i++ {
-		row := s.row(i)
-		for w, word := range row {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &= word - 1
-				r.Add(w*wordBits+b, i)
+		col := uint64(1) << (uint(i) % wordBits)
+		for w, x := range s.bits[i*W : i*W+W] {
+			for ; x != 0; x &= x - 1 {
+				j := w*wordBits + bits.TrailingZeros64(x)
+				r.bits[j*W+i/wordBits] |= col
 			}
 		}
 	}
 }
 
-// PlusInPlace replaces r with its transitive closure r⁺ (Floyd–Warshall).
+// stackWords is the row width up to which PlusInPlace keeps its masks on
+// the stack: universes of up to 256 elements close without allocating.
+const stackWords = 4
+
+// PlusInPlace replaces r with its transitive closure r⁺.
+//
+// It is Floyd–Warshall restricted to the pivots that can matter. Closure
+// never creates a new source or a new target (dom r⁺ = dom r and
+// ran r⁺ = ran r), so a pivot k outside dom r has an empty row and one
+// outside ran r has an empty column at every step: either way its step is
+// a no-op. The k loop therefore visits only dom r ∩ ran r and the i loop
+// only dom r, both by iterating mask bits, and the result is exactly the
+// closure the full n-pivot loop computes.
 func (r Rel) PlusInPlace() {
-	for k := 0; k < r.n; k++ {
-		krow := r.row(k)
-		bit := uint64(1) << (uint(k) % wordBits)
-		w := k / wordBits
-		for i := 0; i < r.n; i++ {
-			irow := r.row(i)
-			if irow[w]&bit != 0 {
-				for x := range irow {
-					irow[x] |= krow[x]
+	b := r.bits
+	if r.words == 1 {
+		var dom, ran uint64
+		for i, x := range b {
+			ran |= x
+			if x != 0 {
+				dom |= 1 << uint(i)
+			}
+		}
+		for piv := dom & ran; piv != 0; piv &= piv - 1 {
+			k := bits.TrailingZeros64(piv)
+			krow, kbit := b[k], uint64(1)<<uint(k)
+			for src := dom; src != 0; src &= src - 1 {
+				if i := bits.TrailingZeros64(src); b[i]&kbit != 0 {
+					b[i] |= krow
+				}
+			}
+		}
+		return
+	}
+	W := r.words
+	var buf [2 * stackWords]uint64
+	masks := buf[:]
+	if W > stackWords {
+		masks = make([]uint64, 2*W)
+	}
+	dom, piv := masks[:W], masks[W:2*W]
+	for i := 0; i < r.n; i++ {
+		var nonempty uint64
+		for w, x := range b[i*W : i*W+W] {
+			piv[w] |= x
+			nonempty |= x
+		}
+		if nonempty != 0 {
+			dom[i/wordBits] |= 1 << (uint(i) % wordBits)
+		}
+	}
+	for w := range piv {
+		piv[w] &= dom[w]
+	}
+	for kw, kx := range piv {
+		for ; kx != 0; kx &= kx - 1 {
+			k := kw*wordBits + bits.TrailingZeros64(kx)
+			krow, kbit := b[k*W:k*W+W], uint64(1)<<(uint(k)%wordBits)
+			for dw, dx := range dom {
+				for ; dx != 0; dx &= dx - 1 {
+					i := dw*wordBits + bits.TrailingZeros64(dx)
+					if b[i*W+kw]&kbit == 0 {
+						continue
+					}
+					irow := b[i*W : i*W+W]
+					irow = irow[:len(krow)]
+					for x := range irow {
+						irow[x] |= krow[x]
+					}
 				}
 			}
 		}
@@ -247,7 +319,7 @@ func (r Rel) ComplementInPlace() {
 // turning r⁺ into r* and r into r? in place.
 func (r Rel) UnionIdentity() {
 	for i := 0; i < r.n; i++ {
-		r.row(i)[i/wordBits] |= 1 << (uint(i) % wordBits)
+		r.bits[i*r.words+i/wordBits] |= 1 << (uint(i) % wordBits)
 	}
 }
 
@@ -256,16 +328,15 @@ func (r Rel) UnionIdentity() {
 func (r Rel) RestrictInPlace(src, dst Set) {
 	r.checkSet(src)
 	r.checkSet(dst)
+	W := r.words
 	for i := 0; i < r.n; i++ {
-		row := r.row(i)
-		if !src.Has(i) {
-			for w := range row {
-				row[w] = 0
-			}
-			continue
+		row := r.bits[i*W : i*W+W]
+		keep := uint64(0)
+		if src.bits[i/wordBits]&(1<<(uint(i)%wordBits)) != 0 {
+			keep = ^keep
 		}
 		for w := range row {
-			row[w] &= dst.bits[w]
+			row[w] &= dst.bits[w] & keep
 		}
 	}
 }
@@ -285,118 +356,78 @@ func (r Rel) ForEachPair(f func(i, j int)) {
 	}
 }
 
+// The functional operators below return a fresh relation and leave their
+// operands untouched. Each is a copy (or a fresh empty relation) followed
+// by the matching in-place kernel, so every operator has one implementation.
+
 // Union returns r ∪ s.
 func (r Rel) Union(s Rel) Rel {
-	r.sameUniverse(s)
 	out := r.Clone()
-	for i := range out.bits {
-		out.bits[i] |= s.bits[i]
-	}
+	out.UnionInto(s)
 	return out
 }
 
 // Inter returns r ∩ s.
 func (r Rel) Inter(s Rel) Rel {
-	r.sameUniverse(s)
 	out := r.Clone()
-	for i := range out.bits {
-		out.bits[i] &= s.bits[i]
-	}
+	out.InterInto(s)
 	return out
 }
 
 // Diff returns r \ s.
 func (r Rel) Diff(s Rel) Rel {
-	r.sameUniverse(s)
 	out := r.Clone()
-	for i := range out.bits {
-		out.bits[i] &^= s.bits[i]
-	}
+	out.DiffInto(s)
 	return out
 }
 
 // Complement returns the complement of r (including diagonal pairs).
 func (r Rel) Complement() Rel {
 	out := r.Clone()
-	for i := range out.bits {
-		out.bits[i] = ^out.bits[i]
-	}
-	out.trim()
+	out.ComplementInPlace()
 	return out
 }
 
 // Inverse returns r⁻¹, i.e. {(j,i) | (i,j) ∈ r}.
 func (r Rel) Inverse() Rel {
 	out := New(r.n)
-	for i := 0; i < r.n; i++ {
-		row := r.row(i)
-		for w, word := range row {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &= word - 1
-				out.Add(w*wordBits+b, i)
-			}
-		}
-	}
+	out.InverseInto(r)
 	return out
 }
 
 // Seq returns the relational composition r ; s,
 // i.e. {(i,k) | ∃j. (i,j) ∈ r ∧ (j,k) ∈ s}.
 func (r Rel) Seq(s Rel) Rel {
-	r.sameUniverse(s)
 	out := New(r.n)
-	for i := 0; i < r.n; i++ {
-		src := r.row(i)
-		dst := out.row(i)
-		for w, word := range src {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &= word - 1
-				j := w*wordBits + b
-				mid := s.row(j)
-				for k := range dst {
-					dst[k] |= mid[k]
-				}
-			}
-		}
-	}
+	out.SeqInto(r, s)
 	return out
 }
 
-// Plus returns the transitive closure r⁺ (Floyd–Warshall over bitsets).
+// Plus returns the transitive closure r⁺.
 func (r Rel) Plus() Rel {
 	out := r.Clone()
-	for k := 0; k < out.n; k++ {
-		krow := out.row(k)
-		bit := uint64(1) << (uint(k) % wordBits)
-		w := k / wordBits
-		for i := 0; i < out.n; i++ {
-			irow := out.row(i)
-			if irow[w]&bit != 0 {
-				for x := range irow {
-					irow[x] |= krow[x]
-				}
-			}
-		}
-	}
+	out.PlusInPlace()
 	return out
 }
 
 // Star returns the reflexive-transitive closure r*.
 func (r Rel) Star() Rel {
-	return r.Plus().Union(Identity(r.n))
+	out := r.Plus()
+	out.UnionIdentity()
+	return out
 }
 
 // Opt returns r ∪ id, the reflexive closure ("r?" in cat).
 func (r Rel) Opt() Rel {
-	return r.Union(Identity(r.n))
+	out := r.Clone()
+	out.UnionIdentity()
+	return out
 }
 
 // Irreflexive reports whether no element is related to itself.
 func (r Rel) Irreflexive() bool {
 	for i := 0; i < r.n; i++ {
-		if r.row(i)[i/wordBits]&(1<<(uint(i)%wordBits)) != 0 {
+		if r.bits[i*r.words+i/wordBits]&(1<<(uint(i)%wordBits)) != 0 {
 			return false
 		}
 	}
@@ -451,7 +482,7 @@ func (r Rel) cycleDFS(sc *DFSScratch, wantWitness bool) (found bool, witness []i
 			continue
 		}
 		colour[start] = grey
-		stack = append(stack[:0], dfsFrame{start, 0, r.row(start)[0]})
+		stack = append(stack[:0], dfsFrame{start, 0, r.bits[start*r.words]})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			if f.bits == 0 {
@@ -461,7 +492,7 @@ func (r Rel) cycleDFS(sc *DFSScratch, wantWitness bool) (found bool, witness []i
 					stack = stack[:len(stack)-1]
 					continue
 				}
-				f.bits = r.row(f.node)[f.word]
+				f.bits = r.bits[f.node*r.words+f.word]
 				continue
 			}
 			b := bits.TrailingZeros64(f.bits)
@@ -485,7 +516,7 @@ func (r Rel) cycleDFS(sc *DFSScratch, wantWitness bool) (found bool, witness []i
 				return true, witness
 			case white:
 				colour[next] = grey
-				stack = append(stack, dfsFrame{next, 0, r.row(next)[0]})
+				stack = append(stack, dfsFrame{next, 0, r.bits[next*r.words]})
 			}
 		}
 	}
@@ -559,62 +590,31 @@ func (r Rel) SubsetOf(s Rel) bool {
 // Pairs returns the pairs of the relation in lexicographic order.
 func (r Rel) Pairs() [][2]int {
 	var out [][2]int
-	for i := 0; i < r.n; i++ {
-		row := r.row(i)
-		for w, word := range row {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &= word - 1
-				out = append(out, [2]int{i, w*wordBits + b})
-			}
-		}
-	}
+	r.ForEachPair(func(i, j int) { out = append(out, [2]int{i, j}) })
 	return out
 }
 
 // Succ returns the successors of i in ascending order.
 func (r Rel) Succ(i int) []int {
-	var out []int
-	row := r.row(i)
-	for w, word := range row {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &= word - 1
-			out = append(out, w*wordBits+b)
-		}
-	}
-	return out
+	return Set{n: r.n, bits: r.row(i)}.Elems()
 }
 
 // RestrictDomain keeps only pairs whose source is in keep.
 func (r Rel) RestrictDomain(keep Set) Rel {
-	r.checkSet(keep)
-	out := New(r.n)
-	for i := 0; i < r.n; i++ {
-		if keep.Has(i) {
-			copy(out.row(i), r.row(i))
-		}
-	}
-	return out
+	return r.Restrict(keep, FullSet(r.n))
 }
 
 // RestrictRange keeps only pairs whose target is in keep.
 func (r Rel) RestrictRange(keep Set) Rel {
-	r.checkSet(keep)
-	out := r.Clone()
-	for i := 0; i < r.n; i++ {
-		row := out.row(i)
-		for w := range row {
-			row[w] &= keep.bits[w]
-		}
-	}
-	return out
+	return r.Restrict(FullSet(r.n), keep)
 }
 
 // Restrict keeps only pairs with source in src and target in dst;
 // this implements cat's set-restriction forms such as WR(r) and RM(r).
 func (r Rel) Restrict(src, dst Set) Rel {
-	return r.RestrictDomain(src).RestrictRange(dst)
+	out := r.Clone()
+	out.RestrictInPlace(src, dst)
+	return out
 }
 
 func (r Rel) checkSet(s Set) {
@@ -654,11 +654,8 @@ func (r Rel) Domain() Set {
 // Range returns the set of targets of r.
 func (r Rel) Range() Set {
 	s := NewSet(r.n)
-	for i := 0; i < r.n; i++ {
-		row := r.row(i)
-		for w := range row {
-			s.bits[w] |= row[w]
-		}
+	for at, x := range r.bits {
+		s.bits[at%r.words] |= x
 	}
 	return s
 }
@@ -696,15 +693,7 @@ func (h *intHeap) Pop() interface{} {
 // successor rows without materialising the pair list.
 func (r Rel) TopoSort() (order []int, ok bool) {
 	indeg := make([]int, r.n)
-	for i := 0; i < r.n; i++ {
-		for w, word := range r.row(i) {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &= word - 1
-				indeg[w*wordBits+b]++
-			}
-		}
-	}
+	r.ForEachPair(func(_, j int) { indeg[j]++ })
 	ready := make(intHeap, 0, r.n)
 	for i := 0; i < r.n; i++ {
 		if indeg[i] == 0 {
