@@ -18,13 +18,11 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Time the sharded candidate enumeration at 1/2/4/8 workers, verify the
-# streams are byte-identical to the sequential one, check that enabling
-# the obs counters stays within noise of the nil-sink path, and record
-# the result (with the runner's core count) in BENCH_enumerate.json.
-# GOMAXPROCS is pinned to the machine's core count explicitly: the
-# original record was taken with an inherited GOMAXPROCS=1, which
-# serialised the 2/4/8-worker timings and flattened the scaling curve.
+# Time the co-heavy candidate enumeration (the bare walk and the checking
+# layer, allocations and GC pauses per candidate), check that enabling the
+# obs counters stays within noise of the nil-sink path, hold the walk and
+# the compiled cat evaluator under their allocation ceilings, and record
+# the result (with the machine's core count) in BENCH_enumerate.json.
 bench:
 	GOMAXPROCS=$(NPROC) BENCH_ENUM_OUT=$(CURDIR)/BENCH_enumerate.json $(GO) test -run 'TestBenchEnumerateJSON|TestObsOverheadSmoke|TestCheckAllocsCeiling|TestEnumAllocsCeiling' -count=1 -v .
 

@@ -2,8 +2,6 @@ package herdcats_bench
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -21,13 +19,12 @@ import (
 	"herdcats/internal/obs"
 )
 
-// coHeavySrc is the parallel-enumeration workload: four threads of three
+// coHeavySrc is the enumeration microbenchmark: four threads of three
 // writes each over three locations. Every location collects four writes
 // plus its initial one, so the candidate count is the pure coherence
 // product 4!³ = 13824 — no reads, so rf contributes nothing and pruning
-// never fires. The shard tree is wide at the top (the co positions of the
-// first thread's writes), which is exactly the shape the sharded
-// Program.Search splits across workers.
+// never fires. One skeleton, many candidates: it isolates the per-candidate
+// rf/co walk and check, not the per-test setup that dominates the corpus.
 const coHeavySrc = `PPC coheavy
 { 0:r1=x; 0:r2=y; 0:r3=z;
   1:r1=x; 1:r2=y; 1:r3=z;
@@ -40,25 +37,6 @@ const coHeavySrc = `PPC coheavy
  stw r4,0(r3) | stw r4,0(r3) | stw r4,0(r3) | stw r4,0(r3) ;
 exists (x=1 /\ y=2 /\ z=3)`
 
-// enumerateHash drives one full enumeration and folds every candidate into
-// a SHA-256 of the stream, so equal hashes mean byte-identical streams.
-func enumerateHash(tb testing.TB, workers int) (string, int) {
-	tb.Helper()
-	p := compileBench(tb, coHeavySrc)
-	h := sha256.New()
-	n := 0
-	err := p.Search(context.Background(), exec.Request{Workers: workers},
-		func(c *exec.Candidate) bool {
-			n++
-			fmt.Fprintf(h, "%s|%v|%v\n", c.State.Key(nil), c.X.RF.Pairs(), c.X.CO.Pairs())
-			return true
-		})
-	if err != nil {
-		tb.Fatalf("workers=%d: %v", workers, err)
-	}
-	return hex.EncodeToString(h.Sum(nil)), n
-}
-
 func compileBench(tb testing.TB, src string) *exec.Program {
 	tb.Helper()
 	p, err := exec.Compile(litmus.MustParse(src))
@@ -70,11 +48,11 @@ func compileBench(tb testing.TB, src string) *exec.Program {
 
 // timedSearch runs one full co-heavy enumeration with the given sink and
 // returns the wall clock. A nil sink is the instrumentation-disabled path.
-func timedSearch(tb testing.TB, p *exec.Program, workers int, sink *obs.EnumStats) time.Duration {
+func timedSearch(tb testing.TB, p *exec.Program, sink *obs.EnumStats) time.Duration {
 	tb.Helper()
 	start := time.Now()
 	n := 0
-	err := p.Search(context.Background(), exec.Request{Workers: workers, Obs: sink},
+	err := p.Search(context.Background(), exec.Request{Obs: sink},
 		func(*exec.Candidate) bool { n++; return true })
 	if err != nil {
 		tb.Fatal(err)
@@ -85,36 +63,22 @@ func timedSearch(tb testing.TB, p *exec.Program, workers int, sink *obs.EnumStat
 	return time.Since(start)
 }
 
-// BenchmarkEnumerateParallel measures the sharded enumeration of the
-// co-heavy workload at increasing worker counts, with instrumentation off
-// (obs=0, a nil sink — the default) and on (obs=1, a live EnumStats). The
-// candidate stream is identical at every width (TestBenchEnumerateJSON
-// verifies the hash), so the sub-benchmarks are directly comparable.
-func BenchmarkEnumerateParallel(b *testing.B) {
+// BenchmarkEnumerate measures the enumeration of the co-heavy workload
+// with instrumentation off (obs=0, a nil sink — the default) and on
+// (obs=1, a live EnumStats).
+func BenchmarkEnumerate(b *testing.B) {
 	p := compileBench(b, coHeavySrc)
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, instrumented := range []bool{false, true} {
-			name := fmt.Sprintf("workers=%d/obs=%d", workers, b2i(instrumented))
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				var sink *obs.EnumStats
-				if instrumented {
-					sink = &obs.EnumStats{}
-				}
-				for i := 0; i < b.N; i++ {
-					n := 0
-					err := p.Search(context.Background(),
-						exec.Request{Workers: workers, Obs: sink},
-						func(*exec.Candidate) bool { n++; return true })
-					if err != nil {
-						b.Fatal(err)
-					}
-					if n != 13824 {
-						b.Fatalf("enumerated %d candidates, want 13824", n)
-					}
-				}
-			})
-		}
+	for _, instrumented := range []bool{false, true} {
+		b.Run(fmt.Sprintf("obs=%d", b2i(instrumented)), func(b *testing.B) {
+			b.ReportAllocs()
+			var sink *obs.EnumStats
+			if instrumented {
+				sink = &obs.EnumStats{}
+			}
+			for i := 0; i < b.N; i++ {
+				timedSearch(b, p, sink)
+			}
+		})
 	}
 }
 
@@ -125,85 +89,23 @@ func b2i(v bool) int {
 	return 0
 }
 
-// benchRow is one line of BENCH_enumerate.json.
-type benchRow struct {
-	Workers    int     `json:"workers"`
-	Procs      int     `json:"procs"` // schedulable parallelism: min(workers, GOMAXPROCS)
-	NsPerOp    int64   `json:"ns_per_op"`
-	Speedup    float64 `json:"speedup"`
-	Efficiency float64 `json:"efficiency"` // speedup / procs; 1.0 = perfect scaling
-	Candidates int     `json:"candidates"`
-	StreamOK   bool    `json:"stream_identical"`
-}
-
-// unpinProcs undoes the core-pinning bug that produced the original
-// BENCH_enumerate.json: the harness inherited GOMAXPROCS=1 from the
-// runner, so the 2/4/8-worker timings all ran on one OS thread and the
-// "speedup" column read ~1.06x regardless of the sharding. Raise
-// GOMAXPROCS to the machine's core count for the duration of the bench
-// (restored on cleanup) and return the effective value; on a genuinely
-// single-core machine this is honestly 1 and the curve says so.
-func unpinProcs(tb testing.TB) int {
-	tb.Helper()
-	cores := runtime.NumCPU()
-	if prev := runtime.GOMAXPROCS(0); prev < cores {
-		runtime.GOMAXPROCS(cores)
-		tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-		tb.Logf("bench: raised GOMAXPROCS %d -> %d (was pinned below the core count)", prev, cores)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // TestBenchEnumerateJSON, gated on BENCH_ENUM_OUT, times the co-heavy
-// enumeration at 1/2/4/8 workers, verifies every stream is byte-identical
-// to the sequential one, measures the overhead of enabled instrumentation
-// against the nil-sink path, and writes the machine-readable record the CI
-// bench step commits as BENCH_enumerate.json. Speedups are honest for the
-// recorded core count: on a single-core runner they hover around 1x.
+// enumeration, measures the overhead of enabled instrumentation against
+// the nil-sink path and the per-candidate cost of the checking layer, and
+// writes the machine-readable record the CI bench step uploads as
+// BENCH_enumerate.json, with the machine's core count.
 func TestBenchEnumerateJSON(t *testing.T) {
 	out := os.Getenv("BENCH_ENUM_OUT")
 	if out == "" {
 		t.Skip("set BENCH_ENUM_OUT=<path> to run the bench and write the JSON record")
 	}
-	procs := unpinProcs(t)
-	wantHash, wantN := enumerateHash(t, 0) // sequential reference
 	p := compileBench(t, coHeavySrc)
-	rows := make([]benchRow, 0, 4)
-	var baseline int64
-	for _, workers := range []int{1, 2, 4, 8} {
-		hash, n := enumerateHash(t, workers)
-		reps := make([]int64, 0, 3)
-		for r := 0; r < 3; r++ {
-			reps = append(reps, timedSearch(t, p, workers, nil).Nanoseconds())
-		}
-		sort.Slice(reps, func(i, j int) bool { return reps[i] < reps[j] })
-		median := reps[1]
-		if workers == 1 {
-			baseline = median
-		}
-		effective := workers
-		if procs < effective {
-			effective = procs
-		}
-		rows = append(rows, benchRow{
-			Workers:    workers,
-			Procs:      effective,
-			NsPerOp:    median,
-			Speedup:    float64(baseline) / float64(median),
-			Efficiency: float64(baseline) / float64(median) / float64(effective),
-			Candidates: n,
-			StreamOK:   hash == wantHash && n == wantN,
-		})
-		if hash != wantHash {
-			t.Errorf("workers=%d: stream hash %s differs from sequential %s", workers, hash, wantHash)
-		}
-	}
 
 	// Instrumentation overhead, measured within this run so machine speed
 	// cancels out: interleave nil-sink and live-sink repetitions and
-	// compare medians. The engine flushes its counters once per search
-	// (or per shard), so the enabled path should sit within noise of the
-	// disabled one; the record keeps CI honest about it. The raw ratio is
+	// compare medians. The engine flushes its counters once per search,
+	// so the enabled path should sit within noise of the disabled one;
+	// the record keeps CI honest about it. The raw ratio is
 	// kept verbatim, but the headline number clamps small negatives to
 	// zero: an earlier record shipped obs_overhead = -1.05%, which is not
 	// the instrumentation speeding up the search, just scheduler noise at
@@ -219,7 +121,7 @@ func TestBenchEnumerateJSON(t *testing.T) {
 	}
 
 	// The enumeration cost itself: the walk alone, allocator-accounted.
-	enumRows := []enumRow{enumBench(t, p, 1), enumBench(t, p, 8)}
+	enumRows := []enumRow{enumBench(t, p)}
 
 	// The checking layer itself: the allocation-storm before/after.
 	checkRows, catSpeedup, catAllocRatio := checkBenchRows(t, p)
@@ -229,7 +131,6 @@ func TestBenchEnumerateJSON(t *testing.T) {
 		Candidates     int        `json:"candidates"`
 		Cores          int        `json:"cores"`
 		GoMaxProcs     int        `json:"gomaxprocs"`
-		Rows           []benchRow `json:"rows"`
 		EnumRows       []enumRow  `json:"enum_rows"`
 		CheckRows      []checkRow `json:"check_rows"`
 		CatSpeedup     float64    `json:"cat_check_speedup"`
@@ -240,10 +141,9 @@ func TestBenchEnumerateJSON(t *testing.T) {
 		ObsOverheadRaw float64    `json:"obs_overhead_raw"`
 	}{
 		Test:           "coheavy (4 threads x 3 writes, 4!^3 candidates)",
-		Candidates:     wantN,
+		Candidates:     13824,
 		Cores:          runtime.NumCPU(),
 		GoMaxProcs:     runtime.GOMAXPROCS(0),
-		Rows:           rows,
 		EnumRows:       enumRows,
 		CheckRows:      checkRows,
 		CatSpeedup:     catSpeedup,
@@ -261,16 +161,11 @@ func TestBenchEnumerateJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote %s (cores=%d, gomaxprocs=%d)", out, record.Cores, record.GoMaxProcs)
-	t.Log("scaling curve (workers: ns/op, speedup vs 1 worker, efficiency vs schedulable procs):")
-	for _, r := range rows {
-		t.Logf("  workers=%d procs=%d: %v/op, speedup %.2fx, efficiency %.0f%%",
-			r.Workers, r.Procs, time.Duration(r.NsPerOp), r.Speedup, r.Efficiency*100)
-	}
 	t.Logf("obs overhead: off %v, on %v (%.1f%%, raw %.1f%%)",
 		time.Duration(offMed), time.Duration(onMed), overhead*100, rawOverhead*100)
 	for _, r := range enumRows {
-		t.Logf("enum workers=%d: %v/candidate, %.2f allocs/candidate, gc pause %v",
-			r.Workers, time.Duration(r.NsPerOp), r.AllocsPerOp, time.Duration(int64(r.GCPauseTotalNs)))
+		t.Logf("enum: %v/candidate, %.2f allocs/candidate, gc pause %v",
+			time.Duration(r.NsPerOp), r.AllocsPerOp, time.Duration(int64(r.GCPauseTotalNs)))
 	}
 	for _, r := range checkRows {
 		t.Logf("check %s: %v/op, %.1f allocs/op, gc pause %v",
@@ -312,10 +207,8 @@ func TestCheckAllocsCeiling(t *testing.T) {
 // enumRow is one enumeration-cost measurement of BENCH_enumerate.json:
 // the bare walk (candidates fully derived, consumed in place, discarded),
 // with the allocator and GC accounted per candidate. This is the cost the
-// arena refactor targets; the scaling rows above time the same walk but
-// only report wall clock.
+// arena refactor targets.
 type enumRow struct {
-	Workers        int     `json:"workers"`
 	NsPerOp        int64   `json:"ns_per_op"`
 	AllocsPerOp    float64 `json:"allocs_per_op"`
 	GCPauseTotalNs uint64  `json:"gc_pause_total_ns"`
@@ -326,9 +219,9 @@ type enumRow struct {
 // first so one-time costs (trace enumeration scratch, the first search's
 // arena growth are per-search either way, but the allocator's own warmup
 // is not) don't inflate the first repetition.
-func enumBench(tb testing.TB, p *exec.Program, workers int) enumRow {
+func enumBench(tb testing.TB, p *exec.Program) enumRow {
 	tb.Helper()
-	timedSearch(tb, p, workers, nil)
+	timedSearch(tb, p, nil)
 	var best int64
 	var allocsPerOp float64
 	var gcPause uint64
@@ -338,7 +231,7 @@ func enumBench(tb testing.TB, p *exec.Program, workers int) enumRow {
 		runtime.ReadMemStats(&ms0)
 		t0 := time.Now()
 		n := 0
-		err := p.Search(context.Background(), exec.Request{Workers: workers},
+		err := p.Search(context.Background(), exec.Request{},
 			func(*exec.Candidate) bool { n++; return true })
 		el := time.Since(t0).Nanoseconds()
 		runtime.ReadMemStats(&ms1)
@@ -354,7 +247,7 @@ func enumBench(tb testing.TB, p *exec.Program, workers int) enumRow {
 			gcPause = ms1.PauseTotalNs - ms0.PauseTotalNs
 		}
 	}
-	return enumRow{Workers: workers, NsPerOp: best / 13824, AllocsPerOp: allocsPerOp, GCPauseTotalNs: gcPause}
+	return enumRow{NsPerOp: best / 13824, AllocsPerOp: allocsPerOp, GCPauseTotalNs: gcPause}
 }
 
 // TestEnumAllocsCeiling is the CI bench-smoke regression guard for the
@@ -369,7 +262,7 @@ func TestEnumAllocsCeiling(t *testing.T) {
 		t.Skip("set BENCH_ENUM_OUT to run the enumeration allocation ceiling check")
 	}
 	p := compileBench(t, coHeavySrc)
-	row := enumBench(t, p, 1)
+	row := enumBench(t, p)
 	const ceiling = 8.0
 	if row.AllocsPerOp > ceiling {
 		t.Errorf("sequential walk: %.2f allocs per candidate, ceiling %.0f — the enumeration allocation storm is back",
@@ -496,14 +389,14 @@ func obsOverhead(t *testing.T, p *exec.Program) (offMin, onMin int64) {
 	const reps = 6
 	var off, on []int64
 	sink := &obs.EnumStats{}
-	timedSearch(t, p, 1, nil) // warm-up, billed to nobody
+	timedSearch(t, p, nil) // warm-up, billed to nobody
 	for r := 0; r < reps; r++ {
 		if r%2 == 0 {
-			off = append(off, timedSearch(t, p, 1, nil).Nanoseconds())
-			on = append(on, timedSearch(t, p, 1, sink).Nanoseconds())
+			off = append(off, timedSearch(t, p, nil).Nanoseconds())
+			on = append(on, timedSearch(t, p, sink).Nanoseconds())
 		} else {
-			on = append(on, timedSearch(t, p, 1, sink).Nanoseconds())
-			off = append(off, timedSearch(t, p, 1, nil).Nanoseconds())
+			on = append(on, timedSearch(t, p, sink).Nanoseconds())
+			off = append(off, timedSearch(t, p, nil).Nanoseconds())
 		}
 	}
 	sort.Slice(off, func(i, j int) bool { return off[i] < off[j] })
@@ -522,7 +415,7 @@ func TestObsOverheadSmoke(t *testing.T) {
 		t.Skip("set BENCH_ENUM_OUT to run the overhead smoke")
 	}
 	p := compileBench(t, coHeavySrc)
-	timedSearch(t, p, 1, nil) // warm-up
+	timedSearch(t, p, nil) // warm-up
 	offMed, onMed := obsOverhead(t, p)
 	if ratio := float64(onMed) / float64(offMed); ratio > 1.20 {
 		t.Errorf("instrumented search %.2fx slower than nil-sink (off %v, on %v)",

@@ -7,7 +7,7 @@
 //
 //	herd [-model power|sc|tso|arm|arm-llh|power-arm] test.litmus...
 //	herd -cat mymodel.cat test.litmus...
-//	herd -j 8 -enum-workers 4 -prune -timeout 2s -max-candidates 100000 -json tests/*.litmus
+//	herd -j 8 -prune -timeout 2s -max-candidates 100000 -json tests/*.litmus
 //	herd -server http://gw:8786 [-stream] [-tenant team] tests/*.litmus
 //	herd -list-models
 //
@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -48,7 +47,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-test wall-clock budget (0 = none); exceeding it yields an Incomplete partial result")
 	maxCand := flag.Int("max-candidates", 0, "per-test candidate-execution budget (0 = unlimited)")
 	workers := flag.Int("j", 1, "tests simulated in parallel (0 = GOMAXPROCS)")
-	enumWorkers := flag.Int("enum-workers", 1, "workers per candidate enumeration (0 = GOMAXPROCS, 1 = sequential); never changes verdicts")
 	prune := flag.Bool("prune", false, "skip SC-per-location-violating candidates for models that declare the pruning sound")
 	contOnErr := flag.Bool("continue-on-error", true, "keep simulating remaining tests after a test errors or panics")
 	jsonOut := flag.Bool("json", false, "emit the machine-readable campaign report on stdout")
@@ -109,11 +107,7 @@ func main() {
 	// same file listed twice — or two files holding the same test — is
 	// simulated once, and the -dot/-explain passes reuse the batch's
 	// compiled programs instead of recompiling.
-	ew := *enumWorkers
-	if ew <= 0 {
-		ew = runtime.GOMAXPROCS(0)
-	}
-	cache := memo.NewWithOptions(0, memo.Options{Workers: ew, Prune: *prune})
+	cache := memo.NewWithOptions(0, memo.Options{Prune: *prune})
 
 	// An unreadable or unparsable file becomes an Error job rather than
 	// aborting the run: the remaining files still simulate, and the

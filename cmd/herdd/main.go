@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	herdd [-addr :8787] [-j 0] [-enum-workers 1] [-prune]
+//	herdd [-addr :8787] [-j 0] [-prune]
 //	      [-cache-entries 4096] [-timeout 30s]
 //	      [-max-concurrent 0] [-max-queue 64] [-max-queue-wait 1s]
 //	      [-tenant-rate 0] [-tenant-burst 0] [-heartbeat 10s]
@@ -29,7 +29,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -42,7 +41,6 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", 4096, "entries kept per cache layer (verdicts, compiled tests, compiled models)")
 	timeout := flag.Duration("timeout", 30*time.Second, "hard wall-clock cap on one simulation (0 = uncapped)")
 	drain := flag.Duration("drain", 15*time.Second, "grace period for in-flight requests on shutdown")
-	enumWorkers := flag.Int("enum-workers", 1, "workers per candidate enumeration (0 = GOMAXPROCS, 1 = sequential); never changes verdicts or cache keys")
 	prune := flag.Bool("prune", false, "skip SC-per-location-violating candidates for models that declare the pruning sound")
 	maxConcurrent := flag.Int("max-concurrent", 0, "simulations admitted at once across all requests (0 = 2x GOMAXPROCS, floor 4); cache hits bypass admission")
 	maxQueue := flag.Int("max-queue", 0, "requests allowed to wait for an admission slot before shedding with 429 (0 = 64)")
@@ -52,15 +50,10 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", 0, "idle interval between heartbeat frames on NDJSON batch streams (0 = 10s)")
 	flag.Parse()
 
-	ew := *enumWorkers
-	if ew <= 0 {
-		ew = runtime.GOMAXPROCS(0)
-	}
 	srv := serve.New(serve.Config{
 		Workers:           *workers,
 		CacheEntries:      *cacheEntries,
 		MaxSimTimeout:     *timeout,
-		EnumWorkers:       ew,
 		Prune:             *prune,
 		MaxConcurrent:     *maxConcurrent,
 		MaxQueue:          *maxQueue,
@@ -75,8 +68,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe(*addr) }()
-	log.Printf("herdd: listening on %s (workers=%d enum-workers=%d prune=%v cache-entries=%d sim-timeout=%s)",
-		*addr, *workers, ew, *prune, *cacheEntries, *timeout)
+	log.Printf("herdd: listening on %s (workers=%d prune=%v cache-entries=%d sim-timeout=%s)",
+		*addr, *workers, *prune, *cacheEntries, *timeout)
 
 	select {
 	case err := <-errc:

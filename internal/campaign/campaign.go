@@ -59,12 +59,6 @@ type Job struct {
 	// body. It must honour ctx and the budget (incomplete work is
 	// reported via Outcome.Incomplete, hard failures via the error).
 	Run func(ctx context.Context, b exec.Budget) (*sim.Outcome, error)
-
-	// EnumWorkers overrides Config.EnumWorkers for this job when > 0: a
-	// known-huge test can fan its enumeration out wider than the rest of
-	// the campaign. The candidate stream is identical for every worker
-	// count, so this is purely a scheduling knob.
-	EnumWorkers int
 }
 
 // Config tunes a campaign. The zero value runs every job to completion on
@@ -86,12 +80,6 @@ type Config struct {
 	// or Error result (jobs never started are reported Skipped). The
 	// default — the fault-tolerant mode — keeps going.
 	StopOnError bool
-
-	// EnumWorkers parallelises each job's candidate enumeration
-	// (exec.EnumerateParallelCtx); <= 1 keeps it sequential. Unlike
-	// Workers (how many jobs run at once), this widens one job, without
-	// changing its outcome. Job.EnumWorkers overrides it per job.
-	EnumWorkers int
 
 	// Prune enables early SC-per-location pruning for checkers that
 	// declare it sound (sim.Options.Prune). Outcome verdicts and states
@@ -364,10 +352,7 @@ func runAttempt(ctx context.Context, cfg Config, timeout time.Duration, b exec.B
 		out, err = job.Run(ctx, b)
 		return out, nil, err, ""
 	}
-	o := sim.Options{Workers: cfg.EnumWorkers, Prune: cfg.Prune}
-	if job.EnumWorkers > 0 {
-		o.Workers = job.EnumWorkers
-	}
+	o := sim.Options{Prune: cfg.Prune}
 	if cfg.Trace {
 		tr = obs.NewTrace()
 	}

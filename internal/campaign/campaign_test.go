@@ -299,18 +299,15 @@ func TestBackoffHonoursCancellation(t *testing.T) {
 	}
 }
 
-// TestEnumWorkersAndPrune: the enumeration knobs reach the simulator and
-// leave the verdicts untouched; Job.EnumWorkers overrides the config.
-func TestEnumWorkersAndPrune(t *testing.T) {
+// TestPruneKnob: the prune knob reaches the simulator and leaves the
+// verdicts untouched.
+func TestPruneKnob(t *testing.T) {
 	test := litmus.MustParse(sbSrc)
 	base := campaign.Run(context.Background(), campaign.Config{}, []campaign.Job{
 		{Name: "sb", Test: test, Model: models.TSO},
 	}).Jobs[0]
-	cfg := campaign.Config{EnumWorkers: 4, Prune: true}
-	jobs := []campaign.Job{
-		{Name: "sb", Test: test, Model: models.TSO},
-		{Name: "sb-wide", Test: test, Model: models.TSO, EnumWorkers: 8},
-	}
+	cfg := campaign.Config{Prune: true}
+	jobs := []campaign.Job{{Name: "sb", Test: test, Model: models.TSO}}
 	rep := campaign.Run(context.Background(), cfg, jobs)
 	for _, res := range rep.Jobs {
 		if res.Status != base.Status || res.Valid != base.Valid {

@@ -45,12 +45,11 @@ func corpusTests(t *testing.T) []*litmus.Test {
 	return tests
 }
 
-func outcomeBytes(t *testing.T, p *exec.Program, checker sim.Checker, workers int) []byte {
+func outcomeBytes(t *testing.T, p *exec.Program, checker sim.Checker) []byte {
 	t.Helper()
 	out, err := sim.Simulate(context.Background(), sim.Request{
 		Program: p,
 		Checker: checker,
-		Options: sim.Options{Workers: workers},
 	})
 	if err != nil {
 		t.Fatalf("%s: %v", checker.Name(), err)
@@ -64,8 +63,7 @@ func outcomeBytes(t *testing.T, p *exec.Program, checker sim.Checker, workers in
 
 // TestCompiledEquivalenceZoo: for every embedded cat model and every corpus
 // test, the compiled evaluator's simulation outcome is byte-identical to
-// the interpreter's, at 1 and 4 workers (the candidate stream itself is
-// worker-count-invariant, so this pins the whole pipeline).
+// the interpreter's.
 func TestCompiledEquivalenceZoo(t *testing.T) {
 	tests := corpusTests(t)
 	for _, name := range cat.BuiltinNames() {
@@ -82,13 +80,9 @@ func TestCompiledEquivalenceZoo(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", tst.Name, err)
 				}
-				want := outcomeBytes(t, p, m.Interpreted(), 1)
-				for _, workers := range []int{1, 4} {
-					got := outcomeBytes(t, p, m, workers)
-					if string(got) != string(want) {
-						t.Errorf("%s @%d workers: compiled outcome diverges\n got %s\nwant %s",
-							tst.Name, workers, got, want)
-					}
+				want := outcomeBytes(t, p, m.Interpreted())
+				if got := outcomeBytes(t, p, m); string(got) != string(want) {
+					t.Errorf("%s: compiled outcome diverges\n got %s\nwant %s", tst.Name, got, want)
 				}
 			}
 		})
@@ -366,8 +360,8 @@ func TestCompiledEquivalenceTwoWordRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := outcomeBytes(t, p, m.Interpreted(), 1)
-		if got := outcomeBytes(t, p, m, 1); string(got) != string(want) {
+		want := outcomeBytes(t, p, m.Interpreted())
+		if got := outcomeBytes(t, p, m); string(got) != string(want) {
 			t.Errorf("%s: compiled outcome diverges on %d events\n got %s\nwant %s", name, events, got, want)
 		}
 	}

@@ -97,30 +97,3 @@ func TestRetainedCandidateExpires(t *testing.T) {
 		t.Error("cloned candidate must never expire")
 	}
 }
-
-// TestParallelYieldClonedOffSlot: on the parallel path the shard workers
-// clone before crossing the channel, so what the merger yields is already
-// slot-free — retaining it is safe and Expired stays false. (The contract
-// still tells callers to Clone; this pins the weaker invariant that the
-// parallel stream can never hand out a live slot from another goroutine.)
-func TestParallelYieldClonedOffSlot(t *testing.T) {
-	p := compile(t, mpSrc)
-	var kept []*exec.Candidate
-	var inPlace []string
-	err := p.Search(context.Background(), exec.Request{Workers: 4}, func(c *exec.Candidate) bool {
-		inPlace = append(inPlace, dynFingerprint(c))
-		kept = append(kept, c)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range kept {
-		if c.Expired() {
-			t.Fatalf("parallel-yielded candidate %d expired: a live shard slot crossed the channel", i)
-		}
-		if got := dynFingerprint(c); got != inPlace[i] {
-			t.Errorf("parallel-yielded candidate %d mutated after retention:\nthen %s\nnow  %s", i, inPlace[i], got)
-		}
-	}
-}

@@ -19,6 +19,7 @@ import (
 	"herdcats/internal/events"
 	"herdcats/internal/isa"
 	"herdcats/internal/litmus"
+	"herdcats/internal/obs"
 )
 
 // addrBase is the integer encoding of the first location's address.
@@ -360,4 +361,109 @@ func Candidates(t *litmus.Test) ([]*Candidate, error) {
 		return true
 	})
 	return out, err
+}
+
+// Request gathers every knob of one enumeration, the argument of
+// Program.Search, the single entry point. The zero value enumerates
+// unpruned, unbudgeted and uninstrumented.
+type Request struct {
+	// Budget bounds the search (see Budget); the zero value is unlimited.
+	Budget Budget
+
+	// Prune sets the early SC-per-location pruning level. Only enable a
+	// level the downstream checker has declared sound (see Prune); the
+	// default PruneNone reproduces the full candidate space.
+	Prune Prune
+
+	// Obs, when non-nil, receives the enumeration counters: candidates
+	// yielded and subtrees rejected by pruning. Counters are accumulated
+	// privately and flushed once per search, so the hot walk stays free
+	// of atomics; a nil sink costs one branch.
+	Obs *obs.EnumStats
+
+	// PruneStats, when non-nil, additionally receives the pruned-subtree
+	// count into a process-lifetime monotone counter (see PruneStats).
+	// Like Obs it is flushed once per search, never from the hot walk.
+	PruneStats *PruneStats
+}
+
+// Search enumerates every candidate execution of the compiled program
+// under req, handing each to yield (return false to stop early). The
+// search stops as soon as ctx is canceled (within one yield) or a Budget
+// bound trips, returning an error matching ErrCanceled or
+// ErrBudgetExceeded.
+//
+// Candidates are delivered zero-copy: each *Candidate is backed by the
+// search's reusable arena slot and is valid only for the duration of its
+// yield call. Consume it in place, or take Candidate.Clone to retain it;
+// a retained original reports Expired once the slot moves on.
+func (p *Program) Search(ctx context.Context, req Request, yield func(*Candidate) bool) error {
+	s := newSearch(ctx, req.Budget, yield)
+	defer s.flush(req.Obs, req.PruneStats)
+	if !s.alive(true) { // already canceled or expired before the search starts
+		return s.err
+	}
+	allTraces, truncated, err := p.allTraces(s)
+	if err != nil {
+		return err
+	}
+	if s.err != nil {
+		return s.err
+	}
+
+	// Cartesian product over per-thread traces, thread 0 outermost.
+	choice := make([]int, len(p.Threads))
+	var product func(tid int) error
+	product = func(tid int) error {
+		if !s.alive(false) {
+			return nil
+		}
+		if tid == len(p.Threads) {
+			e, err := p.newExpansion(allTraces, choice)
+			if err != nil {
+				return err
+			}
+			if e != nil {
+				newWalker(e, s, req.Prune).walk(0)
+			}
+			return nil
+		}
+		for i := range allTraces[tid] {
+			choice[tid] = i
+			if err := product(tid + 1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := product(0); err != nil {
+		return err
+	}
+	if s.err != nil {
+		return s.err
+	}
+	if truncated {
+		return &LimitError{Limit: "traces", Max: req.Budget.MaxTracesPerThread, Candidates: s.cands}
+	}
+	return nil
+}
+
+// allTraces enumerates every thread's traces under the search's budget.
+func (p *Program) allTraces(s *search) (traces [][]Trace, truncated bool, err error) {
+	traces = make([][]Trace, len(p.Threads))
+	for tid := range p.Threads {
+		ts, trunc, err := p.threadTraces(s, tid)
+		if err != nil {
+			return nil, false, err
+		}
+		if s.err != nil {
+			return traces, truncated, nil
+		}
+		if len(ts) == 0 {
+			return nil, false, errNoTrace(tid)
+		}
+		traces[tid] = ts
+		truncated = truncated || trunc
+	}
+	return traces, truncated, nil
 }

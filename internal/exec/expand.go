@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"sync"
-
 	"herdcats/internal/events"
 	"herdcats/internal/litmus"
 	"herdcats/internal/rel"
@@ -12,9 +10,9 @@ import (
 // first an rf choice per memory read (decRF), then, location by location,
 // the coherence order as a sequence of choose-the-next-write decisions
 // (decCO). Decisions are addressed by a flat level index with a static
-// width per level, which is what lets EnumerateParallelCtx shard the tree
-// by decision prefix while keeping the depth-first visit order — and hence
-// the candidate stream — identical to the sequential walk.
+// width per level; the walker visits the tree depth-first in the
+// lexicographic order of the choice vectors, so the candidate stream is
+// deterministic.
 
 type decisionKind uint8
 
@@ -32,9 +30,8 @@ type decision struct {
 
 // expansion is the assembled skeleton of one trace combination: the global
 // event structure with its fixed relations (po, iico, rf-reg), plus the
-// decision tree over it. It is immutable once built — except for the
-// one-shot static derivation below — so any number of walkers, on any
-// number of goroutines, may share it.
+// decision tree over it. It is immutable once built, except for the
+// one-shot static derivation below.
 type expansion struct {
 	p         *Program
 	evs       []events.Event
@@ -43,13 +40,11 @@ type expansion struct {
 	finalRegs map[litmus.RegKey]litmus.Value
 	baseMem   map[string]litmus.Value // final memory of single-write locations
 
-	// staticOnce guards the skeleton's DeriveStatic: the static derived
+	// derived records the skeleton's DeriveStatic: the static derived
 	// state (sets, po-loc, fences, dependencies) is identical for every
 	// candidate of the expansion, so it is computed once at the first
 	// emitted candidate and shared into all of them via AdoptStatic.
-	// sync.Once gives the emitting worker a happens-before edge on the
-	// skeleton fields it then reads.
-	staticOnce sync.Once
+	derived bool
 
 	reads     []int   // memory-read event IDs, in event order
 	rfCands   [][]int // per read: feeding-write candidates (same loc+value)
@@ -225,7 +220,7 @@ func (p *Program) newExpansion(allTraces [][]Trace, choice []int) (*expansion, e
 }
 
 // walker holds the mutable decision state of one depth-first walk over an
-// expansion's tree. Walkers are cheap; every worker builds its own.
+// expansion's tree.
 type walker struct {
 	e     *expansion
 	s     *search
@@ -270,8 +265,7 @@ func (w *walker) apply(level, c int) bool {
 		return true
 	}
 	// decCO: place the c-th not-yet-used non-init write next, counting in
-	// ascending event-ID order — the canonical (lexicographic) ordering
-	// that sharding relies on.
+	// ascending event-ID order — the canonical (lexicographic) ordering.
 	ws := w.e.locWrite[d.loc]
 	used := w.used[d.loc]
 	pick := -1
@@ -402,9 +396,7 @@ func (w *walker) locAcyclic(li int) bool {
 // would overwrite a retained header's stamp, making Candidate.Expired
 // always agree with the slot. The generation counter advances at every
 // refill, so a candidate retained past its yield is detectably stale
-// instead of silently corrupt. A slot belongs to exactly one search
-// goroutine; the parallel path gives each shard worker its own search,
-// hence its own slot.
+// instead of silently corrupt. A slot belongs to exactly one search.
 type candSlot struct {
 	arena *rel.Arena
 	x     events.Execution
@@ -420,7 +412,10 @@ type candSlot struct {
 // this is exactly the zero-copy yield contract documented on Candidate.
 func (w *walker) emitCandidate() {
 	e := w.e
-	e.staticOnce.Do(e.x.DeriveStatic)
+	if !e.derived {
+		e.x.DeriveStatic()
+		e.derived = true
+	}
 	sl := w.s.candidateSlot()
 	cx := &sl.x
 	cx.Events = e.evs

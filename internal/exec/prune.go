@@ -3,13 +3,13 @@ package exec
 import "sync/atomic"
 
 // PruneStats counts the decision subtrees rejected by early pruning,
-// aggregated across any number of searches (and, within a search, across
-// shard workers). Unlike obs.EnumStats — which one enumeration flushes and
-// a caller reads back per run — PruneStats is a monotone process-lifetime
-// counter, suitable for export as a Prometheus-style metric (the herdd
-// /metrics endpoint surfaces it as enum_pruned_subtrees_total). Searches
-// accumulate privately and flush once, so the counter costs one atomic add
-// per search, not per prune. A nil *PruneStats is a valid no-op sink.
+// aggregated across any number of searches. Unlike obs.EnumStats — which
+// one enumeration flushes and a caller reads back per run — PruneStats is
+// a monotone process-lifetime counter, suitable for export as a
+// Prometheus-style metric (the herdd /metrics endpoint surfaces it as
+// enum_pruned_subtrees_total). Searches accumulate privately and flush
+// once, so the counter costs one atomic add per search, not per prune. A
+// nil *PruneStats is a valid no-op sink.
 type PruneStats struct {
 	subtrees atomic.Int64
 }

@@ -72,10 +72,8 @@ func CanonicalTest(t *litmus.Test) string { return t.String() }
 // Key is the content address of a verdict: the hex SHA-256 over the
 // length-prefixed canonical test, model identity and budget key.
 //
-// Enumeration options (worker count, pruning) are deliberately not part of
-// the key. Workers never change the outcome — the parallel candidate
-// stream is identical to the sequential one — and pruning is fixed per
-// Cache instance (see Options), so neither can make one key ambiguous.
+// Pruning is deliberately not part of the key: it is fixed per Cache
+// instance (see Options), so it cannot make one key ambiguous.
 //
 // The budget's timeout is part of the key, but a COMPLETE outcome does not
 // depend on it: the cache stores complete outcomes under the timeout-free
@@ -134,19 +132,12 @@ type Cache struct {
 }
 
 // Options tunes how the cache simulates on a miss. The options are fixed
-// for the lifetime of the cache and are NOT part of the verdict keys:
-//
-//   - Workers cannot be keyed because it does not need to be — the
-//     parallel candidate stream is byte-identical to the sequential one,
-//     so the outcome is a pure function of (test, model, budget) alone.
-//   - Prune does change the Candidates count and the FailedBy histogram
-//     (uniproc-violating candidates are never built), though never the
-//     verdict. Keeping it per-instance rather than per-key means one
-//     cache never mixes pruned and unpruned counters.
+// for the lifetime of the cache and are NOT part of the verdict keys.
+// Prune does change the Candidates count and the FailedBy histogram
+// (uniproc-violating candidates are never built), though never the
+// verdict; keeping it per-instance rather than per-key means one cache
+// never mixes pruned and unpruned counters.
 type Options struct {
-	// Workers parallelises each simulation's candidate enumeration;
-	// <= 1 keeps it sequential.
-	Workers int
 	// Prune enables early SC-per-location pruning at the level each
 	// checker declares sound (sim.PruneLevelFor).
 	Prune bool
@@ -373,7 +364,7 @@ func (c *Cache) simulate(ctx context.Context, req Request) (*sim.Outcome, error)
 		Program: p,
 		Checker: req.Model,
 		Budget:  req.Budget,
-		Options: sim.Options{Workers: c.opts.Workers, Prune: c.opts.Prune, PruneStats: c.opts.PruneStats},
+		Options: sim.Options{Prune: c.opts.Prune, PruneStats: c.opts.PruneStats},
 		Obs:     tr,
 	})
 	c.opts.Obs.Merge(tr.Enum().Snapshot())

@@ -496,12 +496,12 @@ func TestCrossTimeoutHit(t *testing.T) {
 	}
 }
 
-// TestOptionsPreserveOutcome: a pruned, parallel cache returns the same
+// TestOptionsPreserveOutcome: a pruned cache returns the same
 // verdict and states as a plain one — only the Candidates counter may
 // legitimately differ.
 func TestOptionsPreserveOutcome(t *testing.T) {
 	plain := memo.New(0)
-	tuned := memo.NewWithOptions(0, memo.Options{Workers: 4, Prune: true})
+	tuned := memo.NewWithOptions(0, memo.Options{Prune: true})
 	ctx := context.Background()
 	for _, name := range []string{"mp", "sb", "iriw"} {
 		test := mustTest(t, name)

@@ -64,7 +64,6 @@ func TestConcurrentCounters(t *testing.T) {
 				h.Observe(int64(i))
 				e.AddCandidates(1)
 				e.AddPruned(2)
-				e.SetWorkers(i % 7)
 			}
 		}()
 	}
@@ -81,9 +80,6 @@ func TestConcurrentCounters(t *testing.T) {
 	snap := e.Snapshot()
 	if snap.Candidates != workers*perWorker || snap.Pruned != 2*workers*perWorker {
 		t.Errorf("enum stats = %+v", snap)
-	}
-	if snap.Workers != 6 {
-		t.Errorf("workers high-water = %d, want 6", snap.Workers)
 	}
 }
 
@@ -111,9 +107,6 @@ func TestNilSinksNoOp(t *testing.T) {
 	var e *obs.EnumStats
 	e.AddCandidates(1)
 	e.AddPruned(1)
-	e.AddShardsBuilt(1)
-	e.AddShardsRun(1)
-	e.SetWorkers(8)
 	e.Merge(obs.EnumSnapshot{Candidates: 9})
 	if e.Snapshot() != (obs.EnumSnapshot{}) {
 		t.Error("nil enum stats recorded")

@@ -28,16 +28,13 @@ var phaseOrder = map[string]int{
 }
 
 // EnumStats collects the counters one (or many) enumerations report:
-// candidates yielded, subtrees rejected by early SC-per-location pruning,
-// and how the sharded parallel search spread its work. All methods are
-// nil-safe and safe for concurrent use; the engine accumulates privately
-// and flushes per shard, so the hot walk never touches an atomic.
+// candidates yielded and subtrees rejected by early SC-per-location
+// pruning. All methods are nil-safe and safe for concurrent use; the
+// engine accumulates privately and flushes once per search, so the hot
+// walk never touches an atomic.
 type EnumStats struct {
-	candidates  atomic64
-	pruned      atomic64
-	shardsBuilt atomic64
-	shardsRun   atomic64
-	workers     atomic64 // high-water worker count of any single enumeration
+	candidates atomic64
+	pruned     atomic64
 }
 
 // atomic64 aliases the counter implementation so EnumStats stays compact.
@@ -59,41 +56,6 @@ func (s *EnumStats) AddPruned(n int) {
 	s.pruned.Add(n)
 }
 
-// AddShardsBuilt records n shards partitioned for a parallel search.
-func (s *EnumStats) AddShardsBuilt(n int) {
-	if s == nil {
-		return
-	}
-	s.shardsBuilt.Add(n)
-}
-
-// AddShardsRun records n shards actually claimed and walked. Together with
-// AddShardsBuilt this measures shard utilisation: a search stopped early
-// (budget, cancellation) leaves built-but-never-run shards behind.
-func (s *EnumStats) AddShardsRun(n int) {
-	if s == nil {
-		return
-	}
-	s.shardsRun.Add(n)
-}
-
-// SetWorkers records the worker count of one enumeration, keeping the
-// high-water mark across merged enumerations.
-func (s *EnumStats) SetWorkers(n int) {
-	if s == nil || n <= 0 {
-		return
-	}
-	for {
-		cur := s.workers.Value()
-		if uint64(n) <= cur {
-			return
-		}
-		if s.workers.v.CompareAndSwap(cur, uint64(n)) {
-			return
-		}
-	}
-}
-
 // Merge folds a snapshot into s (for per-request stats rolling up into a
 // process-wide aggregate).
 func (s *EnumStats) Merge(snap EnumSnapshot) {
@@ -102,30 +64,19 @@ func (s *EnumStats) Merge(snap EnumSnapshot) {
 	}
 	s.candidates.v.Add(snap.Candidates)
 	s.pruned.v.Add(snap.Pruned)
-	s.shardsBuilt.v.Add(snap.ShardsBuilt)
-	s.shardsRun.v.Add(snap.ShardsRun)
-	s.SetWorkers(int(snap.Workers))
 }
 
 // EnumSnapshot is the JSON-ready copy of an EnumStats.
 type EnumSnapshot struct {
-	Candidates  uint64 `json:"candidates"`
-	Pruned      uint64 `json:"pruned,omitempty"`
-	ShardsBuilt uint64 `json:"shards_built,omitempty"`
-	ShardsRun   uint64 `json:"shards_run,omitempty"`
-	Workers     uint64 `json:"workers,omitempty"`
+	Candidates uint64 `json:"candidates"`
+	Pruned     uint64 `json:"pruned,omitempty"`
 }
 
-// Add folds another snapshot into s: counters sum, Workers keeps the
-// high-water mark. Used when aggregating per-job snapshots into a report.
+// Add folds another snapshot into s (counters sum). Used when aggregating
+// per-job snapshots into a report.
 func (s *EnumSnapshot) Add(o EnumSnapshot) {
 	s.Candidates += o.Candidates
 	s.Pruned += o.Pruned
-	s.ShardsBuilt += o.ShardsBuilt
-	s.ShardsRun += o.ShardsRun
-	if o.Workers > s.Workers {
-		s.Workers = o.Workers
-	}
 }
 
 // Snapshot copies the counters (zero value for nil).
@@ -134,11 +85,8 @@ func (s *EnumStats) Snapshot() EnumSnapshot {
 		return EnumSnapshot{}
 	}
 	return EnumSnapshot{
-		Candidates:  s.candidates.Value(),
-		Pruned:      s.pruned.Value(),
-		ShardsBuilt: s.shardsBuilt.Value(),
-		ShardsRun:   s.shardsRun.Value(),
-		Workers:     s.workers.Value(),
+		Candidates: s.candidates.Value(),
+		Pruned:     s.pruned.Value(),
 	}
 }
 
@@ -245,10 +193,6 @@ func (j *TraceJSON) String() string {
 	fmt.Fprintf(&b, "  %-10s %12d\n", "candidates", j.Enum.Candidates)
 	if j.Enum.Pruned > 0 {
 		fmt.Fprintf(&b, "  %-10s %12d\n", "pruned", j.Enum.Pruned)
-	}
-	if j.Enum.ShardsBuilt > 0 {
-		fmt.Fprintf(&b, "  %-10s %12d/%d (workers %d)\n", "shards",
-			j.Enum.ShardsRun, j.Enum.ShardsBuilt, j.Enum.Workers)
 	}
 	return b.String()
 }

@@ -137,8 +137,7 @@ func (s *Server) budget(spec BudgetSpec) exec.Budget {
 // server's enumeration knobs plus the post-clamp budget.
 func (s *Server) effectiveOptions(b exec.Budget) EffectiveOptions {
 	return EffectiveOptions{
-		Workers: s.cfg.EnumWorkers,
-		Prune:   s.cfg.Prune,
+		Prune: s.cfg.Prune,
 		Budget: BudgetSpec{
 			MaxCandidates:      b.MaxCandidates,
 			MaxTracesPerThread: b.MaxTracesPerThread,

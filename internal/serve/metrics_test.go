@@ -69,9 +69,6 @@ func TestMetricsEndpointGolden(t *testing.T) {
 		"herdd_enum_candidates_total":      "counter",
 		"herdd_enum_pruned_total":          "counter",
 		"herdd_enum_pruned_subtrees_total": "counter",
-		"herdd_enum_shards_built_total":    "counter",
-		"herdd_enum_shards_run_total":      "counter",
-		"herdd_enum_workers":               "gauge",
 		"herdd_http_in_flight":             "gauge",
 		"herdd_request_latency_us":         "histogram",
 		"herdd_requests_total":             "counter",

@@ -57,12 +57,6 @@ type Config struct {
 	// (<= 0 selects 256).
 	MaxBatchTests int
 
-	// EnumWorkers parallelises the candidate enumeration inside each
-	// simulation (<= 1 keeps it sequential). Deliberately absent from
-	// cache keys: the parallel candidate stream is identical to the
-	// sequential one, so verdicts are worker-count independent.
-	EnumWorkers int
-
 	// Prune enables early SC-per-location pruning for models that
 	// declare it sound. Verdicts and states are unchanged; the
 	// Candidates counters in responses shrink. Fixed per server, so the
@@ -135,7 +129,7 @@ func New(cfg Config) *Server {
 	s.adm = newAdmission(cfg, s.reg)
 	s.tenants = newTenantLimiter(cfg, s.reg)
 	s.cache = memo.NewWithOptions(cfg.CacheEntries,
-		memo.Options{Workers: cfg.EnumWorkers, Prune: cfg.Prune, Obs: s.enum, PruneStats: s.prune})
+		memo.Options{Prune: cfg.Prune, Obs: s.enum, PruneStats: s.prune})
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
@@ -175,9 +169,6 @@ func (s *Server) registerMetrics() {
 	r.CounterFunc("herdd_enum_candidates_total", func() uint64 { return s.enum.Snapshot().Candidates })
 	r.CounterFunc("herdd_enum_pruned_total", func() uint64 { return s.enum.Snapshot().Pruned })
 	r.CounterFunc("herdd_enum_pruned_subtrees_total", func() uint64 { return uint64(s.prune.Subtrees()) })
-	r.CounterFunc("herdd_enum_shards_built_total", func() uint64 { return s.enum.Snapshot().ShardsBuilt })
-	r.CounterFunc("herdd_enum_shards_run_total", func() uint64 { return s.enum.Snapshot().ShardsRun })
-	r.GaugeFunc("herdd_enum_workers", func() int64 { return int64(s.enum.Snapshot().Workers) })
 	r.CounterFunc("herdd_cache_hits_total", func() uint64 { return s.cache.Stats().Hits })
 	r.CounterFunc("herdd_cache_waits_total", func() uint64 { return s.cache.Stats().Waits })
 	r.CounterFunc("herdd_cache_misses_total", func() uint64 { return s.cache.Stats().Misses })

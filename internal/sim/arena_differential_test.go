@@ -5,7 +5,7 @@ package sim_test
 // follows the legacy clone-always ownership discipline (retain a deep copy
 // of every candidate, tally only after the enumeration has finished, when
 // the slot has been overwritten many times). The two must produce
-// byte-identical OutcomeJSON, at every worker count.
+// byte-identical OutcomeJSON.
 
 import (
 	"bytes"
@@ -83,8 +83,7 @@ func cloneAlwaysOutcome(t *testing.T, p *exec.Program, test *litmus.Test, m sim.
 }
 
 // TestOutcomeJSONCloneAlwaysDifferential: arena path vs clone-always
-// reference, byte-identical, for every catalog test under two models and
-// workers 1, 4 and 8.
+// reference, byte-identical, for every catalog test under two models.
 func TestOutcomeJSONCloneAlwaysDifferential(t *testing.T) {
 	checkers := []sim.Checker{models.TSO, models.Power}
 	for _, e := range catalog.Tests() {
@@ -98,22 +97,17 @@ func TestOutcomeJSONCloneAlwaysDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 4, 8} {
-				out, err := sim.Simulate(context.Background(), sim.Request{
-					Program: p, Checker: m,
-					Options: sim.Options{Workers: workers},
-				})
-				if err != nil {
-					t.Fatalf("%s/%s workers=%d: %v", e.Name, m.Name(), workers, err)
-				}
-				got, err := json.Marshal(out)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("%s/%s workers=%d: arena outcome diverges from clone-always reference\nwant %s\ngot  %s",
-						e.Name, m.Name(), workers, want, got)
-				}
+			out, err := sim.Simulate(context.Background(), sim.Request{Program: p, Checker: m})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", e.Name, m.Name(), err)
+			}
+			got, err := json.Marshal(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s/%s: arena outcome diverges from clone-always reference\nwant %s\ngot  %s",
+					e.Name, m.Name(), want, got)
 			}
 		}
 	}

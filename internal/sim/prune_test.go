@@ -58,7 +58,7 @@ func TestPruneVerdictInvariant(t *testing.T) {
 			}
 			pruned, err := sim.Simulate(context.Background(), sim.Request{
 				Test: test, Checker: m,
-				Options: sim.Options{Prune: true, Workers: 2},
+				Options: sim.Options{Prune: true},
 			})
 			if err != nil {
 				t.Fatalf("%s/%s pruned: %v", e.Name, m.Name(), err)

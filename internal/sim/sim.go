@@ -46,14 +46,8 @@ func PruneLevelFor(model Checker) exec.Prune {
 }
 
 // Options tunes how the candidate space is enumerated. The zero value is
-// sequential and unpruned.
+// unpruned.
 type Options struct {
-	// Workers parallelises the enumeration (exec.Request.Workers). The
-	// candidate stream is identical for every worker count, so the
-	// outcome — counters, states, verdict and even a deterministic
-	// truncation point — does not depend on it.
-	Workers int
-
 	// Prune enables early SC-per-location pruning at the level the
 	// checker declares sound (PruneLevelFor); checkers declaring nothing
 	// run unpruned. Pruning preserves Valid, States, CondObserved and
@@ -67,10 +61,8 @@ type Options struct {
 	PruneStats *exec.PruneStats
 }
 
-// Request is everything one simulation needs — the single entry point
-// replacing the Run/RunCtx/RunOptsCtx/RunCompiled/RunCompiledCtx/
-// RunCompiledOptsCtx family (kept as deprecated wrappers in
-// deprecated.go).
+// Request is everything one simulation needs, the argument of Simulate,
+// the single entry point.
 type Request struct {
 	// Test is the litmus test to simulate; it is compiled on the way in.
 	// Leave nil when Program carries a pre-compiled test.
@@ -87,7 +79,7 @@ type Request struct {
 	// Budget bounds the enumeration; the zero value is unlimited.
 	Budget exec.Budget
 
-	// Options tunes the enumeration (parallel workers, pruning).
+	// Options tunes the enumeration (pruning).
 	Options Options
 
 	// Obs, when non-nil, records the run's phase trace (compile →
@@ -120,7 +112,6 @@ func Simulate(ctx context.Context, req Request) (*Outcome, error) {
 	}
 	er := exec.Request{
 		Budget:     req.Budget,
-		Workers:    req.Options.Workers,
 		Obs:        req.Obs.Enum(),
 		PruneStats: req.Options.PruneStats,
 	}
@@ -135,9 +126,8 @@ func Simulate(ctx context.Context, req Request) (*Outcome, error) {
 	// Upgrade the checker to a per-search evaluator when it offers one
 	// (compiled cat models, the built-in zoo): the evaluator owns pooled
 	// relation buffers reused across candidates, so the steady-state check
-	// allocates nothing. Search delivers candidates on this goroutine in a
-	// deterministic order regardless of worker count, so one evaluator per
-	// Simulate is exactly right. Name, pruning and the outcome still come
+	// allocates nothing. Search delivers every candidate on this goroutine,
+	// so one evaluator per Simulate is exactly right. Name, pruning and the outcome still come
 	// from the original checker.
 	check := req.Checker.Check
 	if prov, ok := req.Checker.(core.EvaluatorProvider); ok {

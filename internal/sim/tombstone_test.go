@@ -52,7 +52,7 @@ func TestMigrationTombstoneRequestShapesEquivalent(t *testing.T) {
 	shapes := map[string]sim.Request{
 		"Run":                {Test: test, Checker: model},
 		"RunCtx":             {Test: test, Checker: model, Budget: exec.Budget{}},
-		"RunOptsCtx":         {Test: test, Checker: model, Options: sim.Options{Workers: 2}},
+		"RunOptsCtx":         {Test: test, Checker: model, Options: sim.Options{}},
 		"RunCompiled":        {Program: p, Checker: model},
 		"RunCompiledCtx":     {Program: p, Checker: model, Budget: exec.Budget{}},
 		"RunCompiledOptsCtx": {Program: p, Checker: model, Options: sim.Options{Prune: true}},

@@ -74,9 +74,8 @@ func (r *RunRequest) Validate() error {
 // server-side defaults and clamps — so a client can see, e.g., that its
 // timeout was capped or which prune level applied.
 type EffectiveOptions struct {
-	Workers int        `json:"workers"` // enumeration workers (0/1 = sequential)
-	Prune   bool       `json:"prune"`   // early SC-per-location pruning enabled
-	Budget  BudgetSpec `json:"budget"`  // effective budget, post-clamp
+	Prune  bool       `json:"prune"`  // early SC-per-location pruning enabled
+	Budget BudgetSpec `json:"budget"` // effective budget, post-clamp
 }
 
 // RunResponse is the body of a successful POST /v1/run.
