@@ -1,7 +1,7 @@
 GO ?= go
 NPROC ?= $(shell nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)
 
-.PHONY: build test vet race bench fleet-bench chaos-smoke mine-smoke verdictbench-check fleet-demo ci serve
+.PHONY: build test vet race bench fleet-bench chaos-smoke mine-smoke fuzz-smoke verdictbench-check fleet-demo ci serve
 
 build:
 	$(GO) build ./...
@@ -28,10 +28,11 @@ bench:
 
 # The fleet acceptance tests under the race detector: a 500-test batch
 # through herd-gw while one backend is killed mid-batch and another runs
-# 500ms slow with a seeded 5% 5xx burst — once over the buffered wire,
-# and once as an NDJSON stream (TestChaosStreamingBatchSurvivesFaults),
-# where every index must still receive exactly one frame. Bounded well
-# under 2 minutes.
+# 500ms slow with a seeded 25% 5xx burst — once as a buffered POST
+# /v1/batch, and once as an NDJSON stream
+# (TestChaosStreamingBatchSurvivesFaults), where every index must still
+# receive exactly one frame. Both formats run the gateway's one batch
+# engine. Bounded well under 2 minutes.
 chaos-smoke:
 	$(GO) test -race -run 'TestChaos' -count=1 -v -timeout 150s ./internal/fleet/
 
@@ -50,6 +51,15 @@ fleet-bench:
 mine-smoke:
 	BENCH_MINE_OUT=$(CURDIR)/BENCH_mine.json $(GO) test -race -run 'TestMineSmoke|TestMinimize|TestMinerEmitsWitness' -count=1 -v -timeout 120s ./internal/mine/
 
+# Short native fuzz runs, about 10s each, of the two decoders every
+# request meets: the NDJSON frame decoder every gateway batch goes through
+# (FuzzDecoder: torn and garbled streams, seeded from
+# internal/wire/testdata/fuzz/FuzzDecoder) and the /v1/run body decoder
+# (FuzzRunRequestDecoder).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 10s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzRunRequestDecoder$$' -fuzztime 10s ./internal/serve/
+
 # The end-to-end benchmark (verdictbench/, declared in BENCHMARK.json) is
 # its own Go module, so `go test ./...` never reaches it. Run its tests,
 # then a short coherence-batch run: the bench checks every verdict against
@@ -64,7 +74,7 @@ verdictbench-check:
 fleet-demo: build
 	./scripts/fleet_demo.sh
 
-ci: vet test race chaos-smoke mine-smoke verdictbench-check
+ci: vet test race chaos-smoke mine-smoke fuzz-smoke verdictbench-check
 
 # The litmus-simulation service (cmd/herdd): HTTP verdicts with a
 # content-addressed cache. See the "herdd" section of README.md.

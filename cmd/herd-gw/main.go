@@ -9,13 +9,17 @@
 //
 //	herd-gw -backends http://h1:8787,http://h2:8787 [-addr :8786]
 //	        [-probe-interval 1s] [-breaker-threshold 3] [-breaker-cooldown 5s]
-//	        [-hedge-after 0] [-attempts 3] [-batch-workers 16] [-heartbeat 10s]
+//	        [-hedge-after 0] [-attempts 3] [-heartbeat 10s]
 //
 // Endpoints mirror herdd's wire format: POST /v1/run, POST /v1/batch
-// (buffered JSON, or an NDJSON stream under Accept: application/x-ndjson,
-// fanned out per home backend and merged), GET /healthz, GET /metrics,
-// plus GET /gw/backends for the fleet view. Error envelopes and 429
-// Retry-After headers pass through from the backends byte-for-byte.
+// (buffered JSON, or an NDJSON stream under Accept: application/x-ndjson),
+// GET /healthz, GET /metrics, plus GET /gw/backends for the fleet view.
+// Both batch formats run one engine: each home backend's rows travel
+// upstream as streamed sub-batches of at most 256 tests, and the rows a
+// backend lost or shed are re-sent one by one along their failover
+// ranking. Batch concurrency is each backend's own (herdd -j). Error
+// envelopes and 429 Retry-After headers pass through from the backends
+// byte-for-byte.
 package main
 
 import (
@@ -42,7 +46,6 @@ func main() {
 	hedgeAfter := flag.Duration("hedge-after", 0, "duplicate a still-unanswered backend request after this long (0 = off)")
 	attempts := flag.Int("attempts", 3, "tries per backend request, the first included")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-attempt wall clock for one backend request")
-	batchWorkers := flag.Int("batch-workers", 16, "concurrent upstream requests per /v1/batch")
 	heartbeat := flag.Duration("heartbeat", 0, "idle interval between heartbeat frames on NDJSON batch streams (0 = 10s)")
 	drain := flag.Duration("drain", 15*time.Second, "grace period for in-flight requests on shutdown")
 	flag.Parse()
@@ -67,7 +70,6 @@ func main() {
 		ProbeInterval:     *probeInterval,
 		BreakerThreshold:  *breakerThreshold,
 		BreakerCooldown:   *breakerCooldown,
-		BatchWorkers:      *batchWorkers,
 		HeartbeatInterval: *heartbeat,
 	})
 	if err != nil {

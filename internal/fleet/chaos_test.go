@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,11 +42,11 @@ func chaosTests(n int) (tests []string, wantOK []bool) {
 }
 
 // TestChaosBatchSurvivesFaults is the fleet's acceptance test: a
-// 500-test batch through the gateway while, on a seeded fault schedule,
-// one backend runs +500ms slow with a 5% 5xx burst and another is killed
-// outright mid-batch. The batch must still return every verdict exactly
-// once, each one correct, with zero gateway-level errors — and tearing
-// everything down must leak no goroutines.
+// 500-test buffered POST /v1/batch through the gateway while, on a seeded
+// fault schedule, one backend runs +500ms slow with a 25% 5xx burst and
+// another is killed outright mid-batch. The batch must still return every
+// verdict exactly once, each one correct, with zero gateway-level errors
+// — and tearing everything down must leak no goroutines.
 func TestChaosBatchSurvivesFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos batch takes tens of seconds")
@@ -57,21 +56,15 @@ func TestChaosBatchSurvivesFaults(t *testing.T) {
 	// Three real herdd backends, each behind its own fault proxy. The
 	// gateway only ever sees the proxied addresses.
 	const nBackends = 3
-	var completed atomic.Int64 // upstream /v1/run responses served fleet-wide
+	nodes := make([]*serve.Server, nBackends)
 	proxies := make([]*faultproxy.Proxy, nBackends)
 	backendURLs := make([]string, nBackends)
 	var servers []*httptest.Server
 	transport := &http.Transport{}
 	defer transport.CloseIdleConnections()
 	for i := 0; i < nBackends; i++ {
-		srv := serve.New(serve.Config{})
-		counted := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			srv.Handler().ServeHTTP(w, r)
-			if r.URL.Path == "/v1/run" {
-				completed.Add(1)
-			}
-		})
-		up := httptest.NewServer(counted)
+		nodes[i] = serve.New(serve.Config{})
+		up := httptest.NewServer(nodes[i].Handler())
 		defer up.Close() // idempotent; the leak check closes it first
 		p, err := faultproxy.New(up.URL, uint64(1000+i))
 		if err != nil {
@@ -84,36 +77,55 @@ func TestChaosBatchSurvivesFaults(t *testing.T) {
 		backendURLs[i] = front.URL
 	}
 
+	// The seeded fault schedule: backend 1 is degraded before the
+	// gateway's first probe (+500ms on every request, 25% of them
+	// answered 503); backend 2 is killed once the fleet has finished ~100
+	// verdicts, with the batch still in full flight. The batch reaches
+	// each backend as one stream, so the error rate matches the streaming
+	// test's: at 5% the handful of stream POSTs, probes and re-sends
+	// would rarely draw a 503.
+	proxies[1].SetLatency(500 * time.Millisecond)
+	proxies[1].SetErrorRate(0.25)
+
 	gw, err := NewGateway(GatewayConfig{
 		Backends:         backendURLs,
 		Policy:           Policy{MaxAttempts: 3, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 100 * time.Millisecond, Timeout: 15 * time.Second},
 		ProbeInterval:    250 * time.Millisecond,
 		BreakerThreshold: 2,
 		BreakerCooldown:  300 * time.Millisecond,
-		BatchWorkers:     16,
 		HTTPClient:       &http.Client{Transport: transport},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer gw.Close()
+	gwFront := httptest.NewServer(gw.Handler())
+	defer gwFront.Close()
+	client := NewClient(gwFront.URL, Policy{MaxAttempts: 1, Timeout: 2 * time.Minute}, &http.Client{Transport: transport})
 
-	// The seeded fault schedule: backend 1 degrades immediately (+500ms
-	// on every request, 5% of them answered 503); backend 2 is killed
-	// once the fleet has finished ~100 verdicts, with the batch still in
-	// full flight.
-	proxies[1].SetLatency(500 * time.Millisecond)
-	proxies[1].SetErrorRate(0.05)
+	// completed counts the simulations the fleet has finished, from the
+	// backends' own cache statistics.
+	completed := func() (n uint64) {
+		for _, s := range nodes {
+			n += s.Cache().Stats().Misses
+		}
+		return n
+	}
 
 	const nTests = 500
 	tests, wantOK := chaosTests(nTests)
 
-	done := make(chan *serve.BatchResponse, 1)
+	type reply struct {
+		resp *serve.BatchResponse
+		err  error
+	}
+	done := make(chan reply, 1)
 	go func() {
-		done <- gw.RunBatch(context.Background(), serve.BatchRequest{
+		resp, err := client.Batch(context.Background(), serve.BatchRequest{
 			Tests: tests,
 			Model: serve.ModelSpec{Name: "tso"},
 		})
+		done <- reply{resp, err}
 	}()
 
 	killDeadline := time.After(2 * time.Minute)
@@ -121,11 +133,15 @@ func TestChaosBatchSurvivesFaults(t *testing.T) {
 	killed := false
 	for resp == nil {
 		select {
-		case resp = <-done:
+		case r := <-done:
+			if r.err != nil {
+				t.Fatalf("buffered batch through the gateway failed: %v", r.err)
+			}
+			resp = r.resp
 		case <-killDeadline:
 			t.Fatal("chaos batch did not finish within 2 minutes")
 		case <-time.After(5 * time.Millisecond):
-			if !killed && completed.Load() >= 100 {
+			if !killed && completed() >= 100 {
 				proxies[2].Kill()
 				killed = true
 			}
@@ -161,8 +177,8 @@ func TestChaosBatchSurvivesFaults(t *testing.T) {
 	if injected := proxies[1].Injected(); injected == 0 {
 		t.Error("the degraded backend never injected a 503 — the 5xx burst path was not exercised")
 	} else {
-		t.Logf("degraded backend injected %d 503s; fleet completed %d upstream runs for %d tests",
-			injected, completed.Load(), nTests)
+		t.Logf("degraded backend injected %d 503s; fleet completed %d simulations for %d tests",
+			injected, completed(), nTests)
 	}
 
 	// Teardown must return the process to its pre-test goroutine count
@@ -172,6 +188,7 @@ func TestChaosBatchSurvivesFaults(t *testing.T) {
 	// default transport's idle pool, which the fault proxies' reverse
 	// proxies dial through.
 	gw.Close()
+	gwFront.Close()
 	for _, s := range servers {
 		s.Close()
 	}
@@ -182,7 +199,7 @@ func TestChaosBatchSurvivesFaults(t *testing.T) {
 
 // TestChaosStreamingBatchSurvivesFaults is the streaming analogue: the
 // same fault schedule — one backend degraded with +500ms latency and a
-// 5% 5xx burst, another killed mid-batch — but the batch travels the
+// 25% 5xx burst, another killed mid-batch — but the batch travels the
 // NDJSON wire through the gateway's stream fan-out. Every index must
 // receive exactly one frame with the correct verdict, no error or
 // skipped rows, a single terminal summary, and teardown must leak no
@@ -220,7 +237,6 @@ func TestChaosStreamingBatchSurvivesFaults(t *testing.T) {
 		ProbeInterval:     250 * time.Millisecond,
 		BreakerThreshold:  2,
 		BreakerCooldown:   300 * time.Millisecond,
-		BatchWorkers:      16,
 		HeartbeatInterval: time.Second,
 		HTTPClient:        &http.Client{Transport: transport},
 	})
@@ -232,9 +248,6 @@ func TestChaosStreamingBatchSurvivesFaults(t *testing.T) {
 	defer gwFront.Close()
 	client := NewClient(gwFront.URL, Policy{MaxAttempts: 1}, &http.Client{Transport: transport})
 
-	// Streaming collapses a whole group onto one request, so the error
-	// rate is higher than the buffered chaos test's 5% — otherwise the
-	// handful of stream POSTs and fallback runs would rarely draw a 503.
 	proxies[1].SetLatency(500 * time.Millisecond)
 	proxies[1].SetErrorRate(0.25)
 

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"herdcats/internal/campaign"
 	"herdcats/internal/cat"
 	"herdcats/internal/exec"
 	"herdcats/internal/litmus"
@@ -37,10 +36,6 @@ type GatewayConfig struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 
-	// BatchWorkers bounds the concurrent upstream requests one
-	// /v1/batch fans out (<= 0 selects 16).
-	BatchWorkers int
-
 	// MaxRequestBytes bounds a request body (<= 0 selects 4 MiB).
 	MaxRequestBytes int64
 
@@ -59,13 +54,6 @@ func (c GatewayConfig) probeInterval() time.Duration {
 		return time.Second
 	}
 	return c.ProbeInterval
-}
-
-func (c GatewayConfig) batchWorkers() int {
-	if c.BatchWorkers <= 0 {
-		return 16
-	}
-	return c.BatchWorkers
 }
 
 func (c GatewayConfig) maxRequestBytes() int64 {
@@ -227,39 +215,42 @@ func (g *Gateway) probeLoop(ctx context.Context, b *gwBackend) {
 	}
 }
 
-// verdictKey computes the request's routing key: the same content
-// address the backends cache under, except that the budget is taken
-// as-sent (the gateway cannot know each backend's clamp). Used only for
-// placement and coalescing — the authoritative key comes back in the
-// response.
-func (g *Gateway) verdictKey(req wire.RunRequest) (string, *Error) {
-	test, err := litmus.Parse(req.Litmus)
-	if err != nil {
-		return "", classify(http.StatusBadRequest, "bad_request", fmt.Sprintf("litmus: %v", err), err)
-	}
-	var modelID string
+// modelID resolves a request's model to the identity the backends key
+// verdicts under, answering a bad model as herdd would. A batch resolves
+// it once for all its rows.
+func (g *Gateway) modelID(spec wire.ModelSpec) (string, *Error) {
 	switch {
-	case req.Model.Name != "":
-		m, err := cat.Builtin(req.Model.Name)
+	case spec.Name != "":
+		m, err := cat.Builtin(spec.Name)
 		if err != nil {
 			return "", classify(http.StatusNotFound, "not_found", fmt.Sprintf("model: %v", err), err)
 		}
-		modelID = memo.ModelID(m)
-	case req.Model.Cat != "":
-		m, err := g.models.Model(req.Model.Cat)
+		return memo.ModelID(m), nil
+	case spec.Cat != "":
+		m, err := g.models.Model(spec.Cat)
 		if err != nil {
 			return "", classify(http.StatusBadRequest, "bad_request", fmt.Sprintf("model: %v", err), err)
 		}
-		modelID = memo.ModelID(m)
-	default:
-		return "", classify(http.StatusBadRequest, "bad_request", "model: one of name or cat is required", nil)
+		return memo.ModelID(m), nil
+	}
+	return "", classify(http.StatusBadRequest, "bad_request", "model: one of name or cat is required", nil)
+}
+
+// verdictKey computes a test's routing key: the same content address the
+// backends cache under, except that the budget is taken as-sent (the
+// gateway cannot know each backend's clamp). Used only for placement and
+// coalescing — the authoritative key comes back in the response.
+func verdictKey(src, modelID string, budget wire.BudgetSpec) (string, *Error) {
+	test, err := litmus.Parse(src)
+	if err != nil {
+		return "", classify(http.StatusBadRequest, "bad_request", fmt.Sprintf("litmus: %v", err), err)
 	}
 	b := exec.Budget{
-		MaxCandidates:      req.Budget.MaxCandidates,
-		MaxTracesPerThread: req.Budget.MaxTracesPerThread,
+		MaxCandidates:      budget.MaxCandidates,
+		MaxTracesPerThread: budget.MaxTracesPerThread,
 	}
-	if req.Budget.TimeoutMS > 0 {
-		b.Timeout = time.Duration(req.Budget.TimeoutMS) * time.Millisecond
+	if budget.TimeoutMS > 0 {
+		b.Timeout = time.Duration(budget.TimeoutMS) * time.Millisecond
 	}
 	return memo.Key(memo.CanonicalTest(test), modelID, b), nil
 }
@@ -267,10 +258,19 @@ func (g *Gateway) verdictKey(req wire.RunRequest) (string, *Error) {
 // Run computes one verdict through the fleet: coalesce on the key, then
 // route along the key's rendezvous ranking with breaker-aware failover.
 func (g *Gateway) Run(ctx context.Context, req wire.RunRequest) (*wire.RunResponse, error) {
-	key, cerr := g.verdictKey(req)
-	if cerr != nil {
+	modelID, merr := g.modelID(req.Model)
+	key, cerr := verdictKey(req.Litmus, modelID, req.Budget)
+	if cerr != nil { // herdd, too, reports a bad test before a bad model
 		return nil, cerr
 	}
+	if merr != nil {
+		return nil, merr
+	}
+	return g.runKey(ctx, key, req)
+}
+
+// runKey is Run with the routing key already computed.
+func (g *Gateway) runKey(ctx context.Context, key string, req wire.RunRequest) (*wire.RunResponse, error) {
 	g.mu.Lock()
 	if call, ok := g.inflight[key]; ok {
 		g.mu.Unlock()
@@ -355,8 +355,7 @@ func (g *Gateway) route(ctx context.Context, key string, req wire.RunRequest) (*
 
 func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req wire.RunRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, g.cfg.maxRequestBytes())).Decode(&req); err != nil {
-		writeGatewayError(w, classify(http.StatusBadRequest, "bad_request", err.Error(), err))
+	if !wire.ReadRequest(w, r, g.cfg.maxRequestBytes(), &req) {
 		return
 	}
 	resp, err := g.Run(hopContext(r), req)
@@ -369,21 +368,20 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req wire.BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, g.cfg.maxRequestBytes())).Decode(&req); err != nil {
-		writeGatewayError(w, classify(http.StatusBadRequest, "bad_request", err.Error(), err))
+	if !wire.ReadRequest(w, r, g.cfg.maxRequestBytes(), &req) {
 		return
 	}
-	if len(req.Tests) == 0 {
-		writeGatewayError(w, classify(http.StatusBadRequest, "bad_request", "tests: at least one litmus source is required", nil))
+	modelID, cerr := g.modelID(req.Model)
+	if cerr != nil {
+		writeGatewayError(w, cerr)
 		return
 	}
 	ctx := hopContext(r)
 	if wire.WantsStream(r) {
-		g.streamBatch(ctx, w, req)
+		g.streamBatch(ctx, w, req, modelID)
 		return
 	}
-	resp := g.RunBatch(ctx, req)
-	writeGatewayJSON(w, resp)
+	writeGatewayJSON(w, g.runBatch(ctx, req, modelID, nil).response())
 }
 
 // hopContext threads the per-hop request metadata into the context the
@@ -392,46 +390,6 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 // not the gateway.
 func hopContext(r *http.Request) context.Context {
 	return wire.WithTenant(r.Context(), r.Header.Get(wire.TenantHeader))
-}
-
-// RunBatch fans a batch out across the fleet, one upstream /v1/run per
-// test, each routed and failed over independently by its own key. The
-// report mirrors serve's batch semantics: a failed row costs that row,
-// never the batch.
-func (g *Gateway) RunBatch(ctx context.Context, req wire.BatchRequest) *wire.BatchResponse {
-	n := len(req.Tests)
-	results := make([]campaign.JobResult, n)
-	cached := make([]bool, n)
-	keys := make([]string, n)
-	_ = campaign.ForEach(ctx, g.cfg.batchWorkers(), n, func(ctx context.Context, i int) error {
-		run := wire.RunRequest{
-			Litmus:     req.Tests[i],
-			Model:      req.Model,
-			Budget:     req.Budget,
-			DeadlineMS: req.DeadlineMS,
-		}
-		resp, err := g.Run(ctx, run)
-		if err != nil {
-			results[i] = errorJobResult(fmt.Sprintf("tests[%d]", i), err)
-			return nil
-		}
-		cached[i] = resp.Cached
-		keys[i] = resp.Key
-		results[i] = jobResultFromRun(resp)
-		return nil
-	})
-	rep := &campaign.Report{Counts: map[campaign.Status]int{}}
-	for i := range results {
-		if results[i].Status == "" {
-			results[i] = campaign.JobResult{
-				Name:   fmt.Sprintf("tests[%d]", i),
-				Status: campaign.StatusSkipped,
-				Reason: "batch stopped before this test ran",
-			}
-		}
-		rep.Add(results[i])
-	}
-	return &wire.BatchResponse{Report: rep, Cached: cached, Keys: keys}
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {

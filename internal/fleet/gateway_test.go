@@ -98,10 +98,14 @@ func TestGatewayFailover(t *testing.T) {
 	hss[0].Close()
 	deadName := strings.TrimRight(urls[0], "/")
 
+	tsoID, cerr := gw.modelID(serve.ModelSpec{Name: "tso"})
+	if cerr != nil {
+		t.Fatal(cerr)
+	}
 	routedToDead := false
 	for i := 0; i < 16; i++ {
 		req := serve.RunRequest{Litmus: sbVariant(i), Model: serve.ModelSpec{Name: "tso"}}
-		key, cerr := gw.verdictKey(req)
+		key, cerr := verdictKey(req.Litmus, tsoID, req.Budget)
 		if cerr != nil {
 			t.Fatal(cerr)
 		}
@@ -170,7 +174,7 @@ func TestGatewayCoalescing(t *testing.T) {
 // TestGatewayBatch: a batch fans out across backends and reassembles in
 // request order, parse failures costing only their row.
 func TestGatewayBatch(t *testing.T) {
-	gw, _ := newFleet(t, 2, GatewayConfig{ProbeInterval: time.Hour, BatchWorkers: 4})
+	gw, _ := newFleet(t, 2, GatewayConfig{ProbeInterval: time.Hour})
 	tests := []string{sbVariant(0), "not litmus at all", sbVariant(1)}
 
 	body, _ := json.Marshal(serve.BatchRequest{Tests: tests, Model: serve.ModelSpec{Name: "tso"}})
@@ -299,28 +303,6 @@ func TestGatewayBackendsEndpoint(t *testing.T) {
 	for _, b := range out {
 		if b.Breaker != "closed" {
 			t.Errorf("backend %s breaker %q, want closed", b.Name, b.Breaker)
-		}
-	}
-}
-
-// TestCampaignOverFleet: internal/campaign pointed at the fleet client —
-// the Jobs bridge — sweeps tests remotely with campaign-side
-// classification intact.
-func TestCampaignOverFleet(t *testing.T) {
-	gw, _ := newFleet(t, 2, GatewayConfig{ProbeInterval: time.Hour})
-	tests := []string{sbVariant(10), sbVariant(11), "garbage"}
-	jobs := Jobs(gw, tests, serve.ModelSpec{Name: "tso"}, serve.BudgetSpec{})
-	rep := campaign.Run(context.Background(), campaign.Config{Retries: 2, Backoff: time.Millisecond}, jobs)
-	if rep.Counts[campaign.StatusOK] != 2 {
-		t.Errorf("OK rows = %d, want 2: %+v", rep.Counts[campaign.StatusOK], rep.Counts)
-	}
-	if rep.Counts[campaign.StatusError] != 1 {
-		t.Errorf("Error rows = %d, want 1", rep.Counts[campaign.StatusError])
-	}
-	// The garbage row is a permanent (parse) error: exactly one attempt.
-	for _, j := range rep.Jobs {
-		if j.Status == campaign.StatusError && j.Attempts != 1 {
-			t.Errorf("permanent error row ran %d attempts, want 1", j.Attempts)
 		}
 	}
 }

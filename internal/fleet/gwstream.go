@@ -13,80 +13,23 @@ import (
 	"herdcats/internal/wire"
 )
 
-// streamBatch answers POST /v1/batch in the NDJSON wire format by fanning
-// the tests out across the fleet as whole streaming sub-batches: each
-// test's verdict key picks its home backend (rendezvous order, skipping
-// backends whose breaker is not closed), rows sharing a home travel as
-// one upstream stream, and the gateway merges the returned frames —
-// remapped to the caller's request indices — onto a single downstream
-// encoder. Upstream heartbeats are absorbed (the gateway heartbeats the
-// merged stream's own idleness); upstream summaries fold into the single
-// terminal summary. Rows an upstream stream never delivered fall back to
-// buffered per-row Run along their failover ranking, so a lost backend
-// costs latency, not verdicts.
-func (g *Gateway) streamBatch(ctx context.Context, w http.ResponseWriter, req wire.BatchRequest) {
+// streamBatch answers POST /v1/batch in the NDJSON wire format: the
+// batch engine's frames merged onto one downstream encoder (remapped to
+// the caller's request indices, in request order when req.Ordered),
+// heartbeats while the merged stream is idle, and one terminal summary
+// folding the upstream summaries' trace aggregates.
+func (g *Gateway) streamBatch(ctx context.Context, w http.ResponseWriter, req wire.BatchRequest, modelID string) {
 	start := time.Now()
-	n := len(req.Tests)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Route every row before the first byte is written: parse/model
-	// failures surface as error frames, everything else joins its home
-	// backend's group.
-	rowErrs := make([]*Error, n)
-	groups := map[string][]int{}
-	for i := range req.Tests {
-		key, cerr := g.verdictKey(rowRunRequest(req, i))
-		if cerr != nil {
-			rowErrs[i] = cerr
-			continue
-		}
-		home := g.homeBackend(key)
-		groups[home] = append(groups[home], i)
-	}
-
 	w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 	w.WriteHeader(http.StatusOK)
 	enc := wire.NewEncoder(w)
-	st := &gwStream{
-		merge:   wire.NewMerge(enc, req.Ordered),
-		cancel:  cancel,
-		emitted: make([]bool, n),
-		status:  make([]campaign.Status, n),
-		cached:  make([]bool, n),
-	}
 	stopHeartbeat := wire.Heartbeat(ctx, enc, g.cfg.heartbeatInterval(), start)
 	defer stopHeartbeat()
-
-	for i, cerr := range rowErrs {
-		if cerr != nil {
-			st.emitFleetError(i, cerr)
-		}
-	}
-
-	var wg sync.WaitGroup
-	for name, rows := range groups {
-		wg.Add(1)
-		go func(name string, rows []int) {
-			defer wg.Done()
-			g.streamGroup(ctx, name, rows, req, st)
-		}(name, rows)
-	}
-	wg.Wait()
-
-	// Rows nothing delivered (the stream was cancelled first) still owe
-	// their frame, mirroring the backend's never-started classification.
-	for i := range st.emitted {
-		if !st.emitted[i] {
-			st.status[i] = campaign.StatusSkipped
-			st.emit(i, wire.NewError(i, fmt.Sprintf("tests[%d]", i),
-				wire.ErrorCode(http.StatusServiceUnavailable), "batch stopped before this test ran"))
-		}
-	}
+	st := g.runBatch(ctx, req, modelID, wire.NewMerge(enc, req.Ordered))
 	stopHeartbeat()
 
-	sum := wire.NewSummary(n)
+	sum := wire.NewSummary(len(req.Tests))
 	for i := range st.status {
 		sum.Counts[st.status[i]]++
 		if st.cached[i] {
@@ -97,6 +40,70 @@ func (g *Gateway) streamBatch(ctx context.Context, w http.ResponseWriter, req wi
 	sum.PhaseTotalsUS = st.phases
 	sum.Enum = st.enum
 	_ = enc.Encode(sum)
+}
+
+// runBatch is the gateway's one batch engine, behind both /v1/batch wire
+// formats. It routes every row to its home backend, sends each home's
+// rows upstream as NDJSON streams of at most wire.MaxBatchTests rows
+// (herdd's batch limit), then re-sends, one Run per row along the key's
+// failover ranking, every row the upstream did not deliver or shed with a
+// retryable code — so a lost or overloaded backend costs latency, not
+// verdicts. Each row's single frame goes to merge as it lands or, when
+// merge is nil (the buffered format), is kept for response.
+func (g *Gateway) runBatch(ctx context.Context, req wire.BatchRequest, modelID string, merge *wire.Merge) *gwBatch {
+	n := len(req.Tests)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	st := &gwBatch{
+		merge:   merge,
+		cancel:  cancel,
+		emitted: make([]bool, n),
+		status:  make([]campaign.Status, n),
+		cached:  make([]bool, n),
+	}
+	if merge == nil {
+		st.frames = make([]any, n)
+	}
+
+	// A test that does not parse costs only its row; every other row
+	// joins its home backend's group.
+	keys := make([]string, n)
+	groups := map[string][]int{}
+	for i, src := range req.Tests {
+		key, cerr := verdictKey(src, modelID, req.Budget)
+		if cerr != nil {
+			st.emitFleetError(i, cerr)
+			continue
+		}
+		keys[i] = key
+		home := g.homeBackend(key)
+		groups[home] = append(groups[home], i)
+	}
+
+	var wg sync.WaitGroup
+	for name, rows := range groups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for len(rows) > 0 && ctx.Err() == nil {
+				chunk := rows[:min(len(rows), wire.MaxBatchTests)]
+				rows = rows[len(chunk):]
+				g.streamChunk(ctx, name, chunk, keys, req, st)
+			}
+		}()
+	}
+	wg.Wait()
+
+	// Rows nothing delivered (the batch was cancelled first) still owe
+	// their frame, mirroring the backend's never-started classification.
+	for i := range st.emitted {
+		if !st.emitted[i] {
+			st.status[i] = campaign.StatusSkipped
+			st.emit(i, wire.NewError(i, fmt.Sprintf("tests[%d]", i),
+				wire.ErrorCode(http.StatusServiceUnavailable), "batch stopped before this test ran"))
+		}
+	}
+	return st
 }
 
 // homeBackend picks the first backend along key's rendezvous ranking
@@ -115,7 +122,7 @@ func (g *Gateway) homeBackend(key string) string {
 }
 
 // rowRunRequest projects one batch row onto the single-run wire shape
-// (the unit both routing and the buffered fallback work in).
+// the re-send works in.
 func rowRunRequest(req wire.BatchRequest, i int) wire.RunRequest {
 	return wire.RunRequest{
 		Litmus:     req.Tests[i],
@@ -125,12 +132,13 @@ func rowRunRequest(req wire.BatchRequest, i int) wire.RunRequest {
 	}
 }
 
-// gwStream is the shared downstream state of one merged batch stream.
-// The per-row slices are written exactly once, each by the row's owning
+// gwBatch is the per-row state of one batch run by the engine. The
+// per-row slices are written exactly once, each by the row's owning
 // goroutine (its group, or the pre/post loops which run with no groups in
 // flight), so they need no lock; the fold fields do.
-type gwStream struct {
-	merge   *wire.Merge
+type gwBatch struct {
+	merge   *wire.Merge // the downstream stream; nil when buffered
+	frames  []any       // buffered only: each row's frame
 	cancel  context.CancelFunc
 	emitted []bool
 	status  []campaign.Status
@@ -141,22 +149,45 @@ type gwStream struct {
 	enum   *obs.EnumSnapshot
 }
 
-// emit writes row i's single frame; a write failure means the client is
-// gone, so the whole fan-out winds down.
-func (s *gwStream) emit(i int, frame any) {
+// emit hands over row i's single frame; a write failure means the
+// client is gone, so the whole fan-out winds down.
+func (s *gwBatch) emit(i int, frame any) {
 	s.emitted[i] = true
-	if s.merge.Emit(i, frame) != nil {
+	if s.merge == nil {
+		s.frames[i] = frame
+	} else if s.merge.Emit(i, frame) != nil {
 		s.cancel()
 	}
 }
 
-func (s *gwStream) emitResult(i int, key string, cached bool, res campaign.JobResult) {
+// response gathers a buffered batch's frames into the BatchResponse
+// herdd would have answered: report rows, cache flags and keys in
+// request order.
+func (s *gwBatch) response() *wire.BatchResponse {
+	resp := &wire.BatchResponse{
+		Report: &campaign.Report{},
+		Cached: s.cached,
+		Keys:   make([]string, len(s.frames)),
+	}
+	for i, frame := range s.frames {
+		switch f := frame.(type) {
+		case *wire.ResultFrame:
+			resp.Keys[i] = f.Key
+			resp.Report.Add(f.Result)
+		case *wire.ErrorFrame:
+			resp.Report.Add(campaign.JobResult{Name: f.Name, Status: s.status[i], Reason: f.Error.Message})
+		}
+	}
+	return resp
+}
+
+func (s *gwBatch) emitResult(i int, key string, cached bool, res campaign.JobResult) {
 	s.status[i] = res.Status
 	s.cached[i] = cached
 	s.emit(i, wire.NewResult(i, key, cached, res))
 }
 
-func (s *gwStream) emitErrorBody(i int, body wire.ErrorBody) {
+func (s *gwBatch) emitErrorBody(i int, body wire.ErrorBody) {
 	s.status[i] = campaign.StatusError
 	s.emit(i, &wire.ErrorFrame{
 		Type:  wire.FrameError,
@@ -169,12 +200,12 @@ func (s *gwStream) emitErrorBody(i int, body wire.ErrorBody) {
 // emitFleetError renders a routing or fallback failure as the row's
 // error frame, carrying the upstream envelope code when the error has
 // one.
-func (s *gwStream) emitFleetError(i int, err error) {
+func (s *gwBatch) emitFleetError(i int, err error) {
 	s.emitErrorBody(i, errorBodyOf(err))
 }
 
 // foldSummary accumulates one upstream summary's trace aggregates.
-func (s *gwStream) foldSummary(f *wire.SummaryFrame) {
+func (s *gwBatch) foldSummary(f *wire.SummaryFrame) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for ph, us := range f.PhaseTotalsUS {
@@ -191,12 +222,13 @@ func (s *gwStream) foldSummary(f *wire.SummaryFrame) {
 	}
 }
 
-// streamGroup runs one home backend's rows as a single upstream stream,
-// remapping its group-local frame indices onto the caller's, then
-// sweeps up anything the stream did not deliver via buffered per-row
-// Run — which routes along each key's own failover ranking, so the rows
-// of a dead home backend land elsewhere.
-func (g *Gateway) streamGroup(ctx context.Context, backend string, rows []int, req wire.BatchRequest, st *gwStream) {
+// streamChunk sends rows — at most wire.MaxBatchTests of one home
+// backend's — upstream as a single stream, remapping its chunk-local
+// frame indices onto the caller's, then re-sends every row the stream
+// left unanswered through runKey, which routes along the row's own
+// failover ranking: the rows of a dead home land elsewhere, and a row the
+// home shed is retried with backoff.
+func (g *Gateway) streamChunk(ctx context.Context, backend string, rows []int, keys []string, req wire.BatchRequest, st *gwBatch) {
 	b := g.backends[backend]
 	sub := wire.BatchRequest{
 		Model:      req.Model,
@@ -204,30 +236,32 @@ func (g *Gateway) streamGroup(ctx context.Context, backend string, rows []int, r
 		DeadlineMS: req.DeadlineMS,
 		Tests:      make([]string, len(rows)),
 	}
-	for gi, i := range rows {
-		sub.Tests[gi] = req.Tests[i]
+	for ci, i := range rows {
+		sub.Tests[ci] = req.Tests[i]
 	}
-	done := make([]bool, len(rows))
+	seen := make([]bool, len(rows))
 	g.reg.Counter(`gw_backend_requests_total{backend="` + backend + `"}`).Inc()
 	err := b.client.BatchStream(ctx, sub, func(frame any) error {
 		switch f := frame.(type) {
 		case *wire.ResultFrame:
-			if f.Index < 0 || f.Index >= len(rows) || done[f.Index] {
+			if f.Index < 0 || f.Index >= len(rows) || seen[f.Index] {
 				return fmt.Errorf("gateway: backend %s: bogus frame index %d", backend, f.Index)
 			}
-			done[f.Index] = true
+			seen[f.Index] = true
 			st.emitResult(rows[f.Index], f.Key, f.Cached, f.Result)
 		case *wire.ErrorFrame:
 			if f.Index < 0 {
 				// The whole upstream batch died mid-flight; abort the
-				// stream and let the fallback sweep cover what is left.
+				// stream and let the re-send cover what is left.
 				return fmt.Errorf("gateway: backend %s: stream error: %s", backend, f.Error.Message)
 			}
-			if f.Index >= len(rows) || done[f.Index] {
+			if f.Index >= len(rows) || seen[f.Index] {
 				return fmt.Errorf("gateway: backend %s: bogus frame index %d", backend, f.Index)
 			}
-			done[f.Index] = true
-			st.emitErrorBody(rows[f.Index], f.Error)
+			seen[f.Index] = true
+			if !retryableCode(f.Error.Code) {
+				st.emitErrorBody(rows[f.Index], f.Error)
+			}
 		case *wire.SummaryFrame:
 			st.foldSummary(f)
 		case *wire.HeartbeatFrame:
@@ -244,23 +278,62 @@ func (g *Gateway) streamGroup(ctx context.Context, backend string, rows []int, r
 		g.reg.Counter(`gw_backend_failures_total{backend="` + backend + `"}`).Inc()
 	}
 
-	for gi, i := range rows {
-		if done[gi] {
+	for _, i := range rows {
+		if st.emitted[i] {
 			continue
 		}
 		if ctx.Err() != nil {
-			return // the post-sweep in streamBatch owes these their frame
+			return // runBatch's post-sweep owes these their frame
 		}
-		if err != nil {
-			g.reg.Counter("gw_reroutes_total").Inc()
-		}
-		resp, rerr := g.Run(ctx, rowRunRequest(req, i))
+		g.reg.Counter("gw_reroutes_total").Inc()
+		resp, rerr := g.runKey(ctx, keys[i], rowRunRequest(req, i))
 		if rerr != nil {
 			st.emitFleetError(i, rerr)
 			continue
 		}
 		st.emitResult(i, resp.Key, resp.Cached, jobResultFromRun(resp))
 	}
+}
+
+// retryableCode reports whether a row's error/v1 code is one a re-send
+// may cure — a shed (429) or any 5xx — by the same contract classify
+// applies to whole responses.
+func retryableCode(code string) bool {
+	for _, status := range []int{http.StatusTooManyRequests, http.StatusInternalServerError,
+		http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout} {
+		if code == wire.ErrorCode(status) {
+			return true
+		}
+	}
+	return false
+}
+
+// jobResultFromRun folds one re-sent row's run into its campaign row.
+func jobResultFromRun(resp *wire.RunResponse) campaign.JobResult {
+	res := campaign.JobResult{
+		Name:       resp.Outcome.Test,
+		Model:      resp.Outcome.Model,
+		Candidates: resp.Outcome.Candidates,
+		Valid:      resp.Outcome.Valid,
+		Attempts:   1,
+		ElapsedMS:  resp.ElapsedMS,
+	}
+	if len(resp.Outcome.States) > 0 {
+		res.States = make(map[string]int, len(resp.Outcome.States))
+		for _, s := range resp.Outcome.States {
+			res.States[s.State] = s.Count
+		}
+	}
+	switch resp.Verdict {
+	case "Allowed":
+		res.Status = campaign.StatusOK
+	case "Forbidden":
+		res.Status = campaign.StatusForbidden
+	default:
+		res.Status = campaign.StatusIncomplete
+		res.Reason = resp.Outcome.Reason
+	}
+	return res
 }
 
 // errorBodyOf projects a fleet error onto the wire envelope body,

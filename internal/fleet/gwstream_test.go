@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -208,6 +210,163 @@ func TestGatewayErrorEnvelopeCompat(t *testing.T) {
 	}
 	if ct := rec.Header().Get("Content-Type"); ct != wire.ContentTypeJSON {
 		t.Fatalf("content-type %q", ct)
+	}
+
+	// A bad request gets herdd's answer from the gateway too: the same
+	// status and the same envelope bytes, decided before any routing.
+	herdd := serve.New(serve.Config{}).Handler()
+	node := httptest.NewServer(herdd)
+	defer node.Close()
+	gw2, err := NewGateway(GatewayConfig{Backends: []string{node.URL}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw2.Close()
+	run, _ := json.Marshal(wire.RunRequest{Litmus: sbSrc, Model: wire.ModelSpec{Name: "tso"}})
+	oversized, _ := json.Marshal(wire.RunRequest{Litmus: sbSrc + strings.Repeat(" ", 5<<20), Model: wire.ModelSpec{Name: "tso"}})
+	unknownModel, _ := json.Marshal(wire.BatchRequest{Tests: []string{sbSrc}, Model: wire.ModelSpec{Name: "no-such-model"}})
+	negBudget, _ := json.Marshal(wire.BatchRequest{Tests: []string{sbSrc}, Model: wire.ModelSpec{Name: "tso"},
+		Budget: wire.BudgetSpec{MaxCandidates: -1}})
+	for _, row := range []struct {
+		name, path string
+		body       []byte
+		status     int
+	}{
+		{"oversized run body", "/v1/run", oversized, http.StatusRequestEntityTooLarge},
+		{"run with trailing data", "/v1/run", append(run, `{"litmus":"x"}`...), http.StatusBadRequest},
+		{"batch with an unknown model", "/v1/batch", unknownModel, http.StatusNotFound},
+		{"batch with a negative budget", "/v1/batch", negBudget, http.StatusBadRequest},
+	} {
+		want := httptest.NewRecorder()
+		herdd.ServeHTTP(want, httptest.NewRequest(http.MethodPost, row.path, bytes.NewReader(row.body)))
+		got := httptest.NewRecorder()
+		gw2.Handler().ServeHTTP(got, httptest.NewRequest(http.MethodPost, row.path, bytes.NewReader(row.body)))
+		if want.Code != row.status {
+			t.Errorf("%s: herdd answered %d, want %d", row.name, want.Code, row.status)
+		}
+		if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("%s: gateway answered %d %s, herdd %d %s", row.name, got.Code, got.Body.Bytes(), want.Code, want.Body.Bytes())
+		}
+	}
+}
+
+// TestGatewayBatchChunking: a batch larger than herdd's limit travels
+// upstream as sub-batches of at most wire.MaxBatchTests tests, in both
+// wire formats — never as one oversized batch, never row by row.
+func TestGatewayBatchChunking(t *testing.T) {
+	const n = 300
+	tests := make([]string, n)
+	for i := range tests {
+		tests[i] = sbVariant(1000 + i)
+	}
+	for _, stream := range []bool{false, true} {
+		t.Run(fmt.Sprintf("stream=%v", stream), func(t *testing.T) {
+			var batches, runs atomic.Int64
+			node := serve.New(serve.Config{})
+			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch r.URL.Path {
+				case "/v1/batch":
+					batches.Add(1)
+				case "/v1/run":
+					runs.Add(1)
+				}
+				node.Handler().ServeHTTP(w, r)
+			}))
+			t.Cleanup(hs.Close)
+			gw, err := NewGateway(GatewayConfig{Backends: []string{hs.URL}, ProbeInterval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(gw.Close)
+			ghs := httptest.NewServer(gw.Handler())
+			t.Cleanup(ghs.Close)
+			c := NewClient(ghs.URL, Policy{MaxAttempts: 1}, nil)
+
+			req := wire.BatchRequest{Tests: tests, Model: wire.ModelSpec{Name: "tso"}}
+			answered := 0
+			if stream {
+				results, errs, _ := collectStream(t, c, req)
+				for i := range tests {
+					if results[i] != nil && results[i].Result.Status == campaign.StatusOK {
+						answered++
+					} else if errs[i] != nil {
+						t.Errorf("row %d: %+v", i, errs[i].Error)
+					}
+				}
+			} else {
+				resp, err := c.Batch(context.Background(), req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, row := range resp.Report.Jobs {
+					if row.Status == campaign.StatusOK && resp.Keys[i] != "" {
+						answered++
+					} else {
+						t.Errorf("row %d: %s (%s)", i, row.Status, row.Reason)
+					}
+				}
+			}
+			if answered != n {
+				t.Errorf("%d of %d rows answered", answered, n)
+			}
+			if b, r := batches.Load(), runs.Load(); b != 2 || r != 0 {
+				t.Errorf("upstream saw %d /v1/batch and %d /v1/run calls, want 2 and 0", b, r)
+			}
+		})
+	}
+}
+
+// TestGatewayResendsShedRows: a row the backend's stream sheds with a
+// retryable code (herdd sheds batch rows one at a time) is re-sent as a
+// Run instead of reaching the caller as a final error, in both wire
+// formats; a permanent row error is forwarded as-is.
+func TestGatewayResendsShedRows(t *testing.T) {
+	node := serve.New(serve.Config{})
+	var runs atomic.Int64
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/batch" {
+			if r.URL.Path == "/v1/run" {
+				runs.Add(1)
+			}
+			node.Handler().ServeHTTP(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
+		enc := wire.NewEncoder(w)
+		_ = enc.Encode(wire.NewError(0, "tests[0]", wire.ErrorCode(http.StatusTooManyRequests), "overloaded (queue_full)"))
+		_ = enc.Encode(wire.NewError(1, "tests[1]", wire.ErrorCode(http.StatusUnprocessableEntity), "simulate: no"))
+		_ = enc.Encode(wire.NewSummary(2))
+	}))
+	defer hs.Close()
+	gw, err := NewGateway(GatewayConfig{Backends: []string{hs.URL}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	ghs := httptest.NewServer(gw.Handler())
+	defer ghs.Close()
+	c := NewClient(ghs.URL, Policy{MaxAttempts: 1}, nil)
+	req := wire.BatchRequest{Tests: []string{sbVariant(0), sbVariant(1)}, Model: wire.ModelSpec{Name: "tso"}}
+
+	resp, err := c.Batch(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := resp.Report.Jobs[0]; row.Status != campaign.StatusOK {
+		t.Errorf("buffered shed row: %s (%s), want it re-sent and OK", row.Status, row.Reason)
+	}
+	if row := resp.Report.Jobs[1]; row.Status != campaign.StatusError || row.Reason != "simulate: no" {
+		t.Errorf("buffered permanent row: %s (%q), want Error with the envelope message", row.Status, row.Reason)
+	}
+	results, errs, _ := collectStream(t, c, req)
+	if results[0] == nil || results[0].Result.Status != campaign.StatusOK {
+		t.Errorf("streamed shed row: %+v / %+v, want it re-sent and OK", results[0], errs[0])
+	}
+	if errs[1] == nil || errs[1].Error.Message != "simulate: no" {
+		t.Errorf("streamed permanent row: %+v, want its error frame", errs[1])
+	}
+	if n := runs.Load(); n != 2 {
+		t.Errorf("%d re-sent runs, want 1 per format", n)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // sharded rf/co walk behind exec.Request.Workers, deleted because it never
 // beat the sequential search (DESIGN.md §8). exec.Program.Search is the
 // only enumeration; parallelism lives only across tests (the campaign
-// pool, serve.Config.Workers, herd -j, herd-gw -batch-workers, mined -j).
+// pool, serve.Config.Workers, herd -j, mined -j).
 // DESIGN.md §14 lists every removed knob, metric and wire field; this test
 // keeps them from coming back.
 func TestIntraTestParallelismTombstone(t *testing.T) {

@@ -114,8 +114,8 @@ type BatchRequest struct {
 	Ordered bool `json:"ordered,omitempty"`
 }
 
-// Validate checks the request's invariants, except the batch-size cap,
-// which is the server's to enforce.
+// Validate checks the request's invariants, except the batch-size cap
+// (MaxBatchTests), which herdd enforces and the gateway chunks by.
 func (r *BatchRequest) Validate() error {
 	if len(r.Tests) == 0 {
 		return errors.New("tests: at least one litmus source is required")

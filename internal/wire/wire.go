@@ -38,6 +38,7 @@ package wire
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -67,6 +68,11 @@ const TenantHeader = "X-Tenant"
 // RetryAfterHeader is the standard backoff hint on a 429 shed. The
 // gateway propagates a backend's value verbatim.
 const RetryAfterHeader = "Retry-After"
+
+// MaxBatchTests bounds the tests of one herdd /v1/batch request (more is
+// 413). The gateway accepts larger batches and sends them upstream in
+// sub-batches of at most this many tests.
+const MaxBatchTests = 256
 
 // WantsStream reports whether the request asked for the NDJSON streaming
 // wire format (any Accept member naming it; parameters ignored).
@@ -178,4 +184,31 @@ func DecodeBody(r io.Reader, v any) error {
 		return fmt.Errorf("body: trailing data after the request object")
 	}
 	return nil
+}
+
+// decodeStatus maps a DecodeBody error to its HTTP status: 413 when the
+// body limit tripped, 400 otherwise.
+func decodeStatus(err error) int {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// ReadRequest decodes and validates the body of a /v1 request the way
+// every tier does, so herdd and the gateway answer a bad request alike:
+// more than limit bytes is 413, anything but exactly one JSON value is
+// 400, and so is a value failing v.Validate. On failure it writes the
+// error envelope and returns false.
+func ReadRequest(w http.ResponseWriter, r *http.Request, limit int64, v interface{ Validate() error }) bool {
+	if err := DecodeBody(http.MaxBytesReader(w, r.Body, limit), v); err != nil {
+		WriteError(w, decodeStatus(err), "%v", err)
+		return false
+	}
+	if err := v.Validate(); err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
+		return false
+	}
+	return true
 }
