@@ -20,11 +20,12 @@ race:
 
 # Time the co-heavy candidate enumeration (the bare walk and the checking
 # layer, allocations and GC pauses per candidate), check that enabling the
-# obs counters stays within noise of the nil-sink path, hold the walk and
-# the compiled cat evaluator under their allocation ceilings, and record
-# the result (with the machine's core count) in BENCH_enumerate.json.
+# obs counters stays within noise of the nil-sink path, hold the walk, the
+# compiled cat evaluator and one search over the whole litmus corpus under
+# their allocation ceilings, and record the result (with the machine's
+# core count) in BENCH_enumerate.json.
 bench:
-	GOMAXPROCS=$(NPROC) BENCH_ENUM_OUT=$(CURDIR)/BENCH_enumerate.json $(GO) test -run 'TestBenchEnumerateJSON|TestObsOverheadSmoke|TestCheckAllocsCeiling|TestEnumAllocsCeiling' -count=1 -v .
+	GOMAXPROCS=$(NPROC) BENCH_ENUM_OUT=$(CURDIR)/BENCH_enumerate.json $(GO) test -run 'TestBenchEnumerateJSON|TestObsOverheadSmoke|TestCheckAllocsCeiling|TestEnumAllocsCeiling|TestSearchCorpusAllocsCeiling' -count=1 -v .
 
 # The fleet acceptance tests under the race detector: a 500-test batch
 # through herd-gw while one backend is killed mid-batch and another runs

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"testing"
@@ -267,6 +268,51 @@ func TestEnumAllocsCeiling(t *testing.T) {
 	if row.AllocsPerOp > ceiling {
 		t.Errorf("sequential walk: %.2f allocs per candidate, ceiling %.0f — the enumeration allocation storm is back",
 			row.AllocsPerOp, ceiling)
+	}
+}
+
+// TestSearchCorpusAllocsCeiling is the CI bench-smoke regression guard for
+// the per-test setup of the search: one Program.Search per test of the
+// 59-test corpus, with a no-op yield, must stay under a fixed number of
+// allocations in total. Unlike co-heavy, the corpus has few candidates
+// per test, so this counts what every verdict pays before its first
+// candidate: trace enumeration, the feedability filter and skeleton
+// assembly. The ceiling is about 10% above the count measured when it
+// was set (go1.24). Gated on BENCH_ENUM_OUT like the other bench asserts.
+func TestSearchCorpusAllocsCeiling(t *testing.T) {
+	if os.Getenv("BENCH_ENUM_OUT") == "" {
+		t.Skip("set BENCH_ENUM_OUT to run the corpus search allocation ceiling check")
+	}
+	paths, err := filepath.Glob("testdata/litmus/*.litmus")
+	if err != nil || len(paths) != 59 {
+		t.Fatalf("corpus: %d tests, %v; want 59", len(paths), err)
+	}
+	var progs []*exec.Program
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, compileBench(t, string(src)))
+	}
+	searchAll := func() {
+		for _, p := range progs {
+			if err := p.Search(context.Background(), exec.Request{}, func(*exec.Candidate) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	searchAll() // warm-up
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	searchAll()
+	runtime.ReadMemStats(&ms1)
+	allocs := ms1.Mallocs - ms0.Mallocs
+	const ceiling = 58000
+	t.Logf("corpus search: %d allocations (ceiling %d)", allocs, ceiling)
+	if allocs > ceiling {
+		t.Errorf("corpus search: %d allocations, ceiling %d — dead skeletons or per-test setup allocations are back",
+			allocs, ceiling)
 	}
 }
 

@@ -5,11 +5,16 @@ package cat_test
 // be observationally identical — byte-identical simulation outcomes over
 // the litmus corpus for every embedded model, identical per-candidate
 // verdicts for randomly generated programs, and identical (error, not
-// panic) behaviour on models that fail to evaluate.
+// panic) behaviour on models that fail to evaluate. The corpus outcomes
+// are also pinned to a golden file, so a change to the enumeration that
+// moves any verdict, count or final state shows up here.
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -61,11 +66,20 @@ func outcomeBytes(t *testing.T, p *exec.Program, checker sim.Checker) []byte {
 	return b
 }
 
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/corpus_outcomes.golden from the current outcomes")
+
+// goldenOutcomes pins sim.Simulate's OutcomeJSON for corpus × zoo: one
+// line per model and test with the first 16 hex digits of the SHA-256 of
+// the outcome's JSON bytes.
+const goldenOutcomes = "testdata/corpus_outcomes.golden"
+
 // TestCompiledEquivalenceZoo: for every embedded cat model and every corpus
 // test, the compiled evaluator's simulation outcome is byte-identical to
-// the interpreter's.
+// the interpreter's, and its digest matches the golden file.
 func TestCompiledEquivalenceZoo(t *testing.T) {
 	tests := corpusTests(t)
+	var lines []string
+	outcomes := map[string]string{}
 	for _, name := range cat.BuiltinNames() {
 		m, err := cat.Builtin(name)
 		if err != nil {
@@ -81,11 +95,39 @@ func TestCompiledEquivalenceZoo(t *testing.T) {
 					t.Fatalf("%s: %v", tst.Name, err)
 				}
 				want := outcomeBytes(t, p, m.Interpreted())
-				if got := outcomeBytes(t, p, m); string(got) != string(want) {
+				got := outcomeBytes(t, p, m)
+				if string(got) != string(want) {
 					t.Errorf("%s: compiled outcome diverges\n got %s\nwant %s", tst.Name, got, want)
 				}
+				key := name + " " + tst.Name
+				lines = append(lines, fmt.Sprintf("%s %x", key, sha256.Sum256(got))[:len(key)+17])
+				outcomes[key] = string(got)
 			}
 		})
+	}
+	got := strings.Join(lines, "\n") + "\n"
+	if *updateGolden {
+		if err := os.WriteFile(goldenOutcomes, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenOutcomes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	if len(wantLines) != len(lines) {
+		t.Fatalf("%s has %d outcomes, the corpus × zoo %d", goldenOutcomes, len(wantLines), len(lines))
+	}
+	for i, l := range lines {
+		if l != wantLines[i] {
+			key := l[:strings.LastIndexByte(l, ' ')]
+			t.Errorf("outcome moved: %s, want %s\n got %s", l, wantLines[i], outcomes[key])
+		}
 	}
 }
 

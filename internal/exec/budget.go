@@ -135,11 +135,12 @@ type search struct {
 	deadline time.Time // zero if no wall-clock bound
 	yield    func(*Candidate) bool
 
-	cands   int   // candidates yielded so far
-	pruned  int   // decision subtrees rejected by early pruning
-	stopped bool  // stop the recursion (user stop, budget, or cancel)
-	err     error // non-nil iff stopped abnormally
-	tick    uint  // throttle for the deadline/cancellation checks
+	cands     int   // candidates yielded so far
+	skeletons int   // trace combinations assembled
+	pruned    int   // decision subtrees rejected by early pruning
+	stopped   bool  // stop the recursion (user stop, budget, or cancel)
+	err       error // non-nil iff stopped abnormally
+	tick      uint  // throttle for the deadline/cancellation checks
 
 	slot *candSlot // lazily-built reusable candidate arena (see expand.go)
 }
@@ -165,6 +166,7 @@ func (s *search) flush(sink *obs.EnumStats, ps *PruneStats) {
 	}
 	sink.AddCandidates(s.cands)
 	sink.AddPruned(s.pruned)
+	sink.AddSkeletons(s.skeletons)
 }
 
 // halt stops the search abnormally, recording the reason. The first

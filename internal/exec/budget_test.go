@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
+	"reflect"
 	"testing"
 	"time"
 
 	"herdcats/internal/exec"
 	"herdcats/internal/litmus"
+	"herdcats/internal/obs"
 )
 
 // pathologicalSrc has a candidate space in the hundreds of thousands:
@@ -208,5 +211,100 @@ func TestBudgetScaleSaturates(t *testing.T) {
 	s = exec.Budget{MaxCandidates: 3}.Scale(1000)
 	if s.MaxCandidates != 3000 || s.MaxTracesPerThread != 0 || s.Timeout != 0 {
 		t.Errorf("Scale(1000) = %+v", s)
+	}
+}
+
+// unfedSrc's P1 reads x, which starts at 4097: the encoding of address y,
+// outside the read-value domain since no location holds an address. So
+// every value the read can take (0 or 1) is one nothing writes to x, and
+// no trace of P1 can be fed.
+const unfedSrc = `PPC unfed
+{ x=4097; 0:r1=y; 1:r1=x; }
+ P0 | P1 ;
+ li r4,1 | lwz r5,0(r1) ;
+ stw r4,0(r1) | ;
+exists (1:r5=1)`
+
+// TestUnfeedableThreadYieldsNothing: a thread left with no feedable trace
+// makes an empty search, not an error — every combination is infeasible,
+// so none is assembled.
+func TestUnfeedableThreadYieldsNothing(t *testing.T) {
+	p, err := exec.Compile(litmus.MustParse(unfedSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tid := range p.Threads {
+		if ts, err := p.ThreadTraces(tid); err != nil || len(ts) == 0 {
+			t.Fatalf("thread %d: %d traces, %v; want some", tid, len(ts), err)
+		}
+	}
+	sink := &obs.EnumStats{}
+	n := 0
+	err = p.Search(context.Background(), exec.Request{Obs: sink}, func(*exec.Candidate) bool { n++; return true })
+	if err != nil || n != 0 {
+		t.Errorf("Search = %d candidates, %v; want 0, nil", n, err)
+	}
+	if got := sink.Snapshot(); got != (obs.EnumSnapshot{}) {
+		t.Errorf("counters = %+v, want none", got)
+	}
+}
+
+// TestUnfeedableThreadUnderTraceCap: the cap keeps P1's first trace only,
+// whose read takes the smallest domain value, -1, which P0 writes to y but
+// nothing writes to x. The truncation is still reported, with 0
+// candidates.
+func TestUnfeedableThreadUnderTraceCap(t *testing.T) {
+	p, err := exec.Compile(litmus.MustParse(`PPC unfedcap
+{ 0:r1=y; 1:r1=x; }
+ P0 | P1 ;
+ li r4,-1 | lwz r5,0(r1) ;
+ stw r4,0(r1) | ;
+exists (1:r5=0)`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	err = p.Search(context.Background(), exec.Request{Budget: exec.Budget{MaxTracesPerThread: 1}},
+		func(*exec.Candidate) bool { n++; return true })
+	var le *exec.LimitError
+	if !errors.As(err, &le) || *le != (exec.LimitError{Limit: "traces", Max: 1}) || n != 0 {
+		t.Errorf("Search = %d candidates, %v; want 0 and the traces limit", n, err)
+	}
+}
+
+// TestBudgetsOnFilteredTraces: on mp+lwsync+addr-po-detour (1×64×4
+// traces), the trace cap applies before unfeedable traces are dropped and
+// the candidate cap counts emitted candidates, so both trip where they
+// did when every combination was assembled: the counts below are the
+// unfiltered search's.
+func TestBudgetsOnFilteredTraces(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/litmus/mp+lwsync+addr-po-detour.litmus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := exec.Compile(litmus.MustParse(string(src)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := stream(t, p, exec.Request{})
+	if err != nil || len(full) != 36 {
+		t.Fatalf("unbudgeted: %d candidates, %v; want 36", len(full), err)
+	}
+	for _, c := range []struct{ traces, want int }{{1, 2}, {2, 8}, {8, 18}, {20, 36}} {
+		got, err := stream(t, p, exec.Request{Budget: exec.Budget{MaxTracesPerThread: c.traces}})
+		var le *exec.LimitError
+		if !errors.As(err, &le) || *le != (exec.LimitError{Limit: "traces", Max: c.traces, Candidates: c.want}) || len(got) != c.want {
+			t.Errorf("MaxTracesPerThread=%d: %d candidates, %v; want %d and the traces limit", c.traces, len(got), err, c.want)
+		}
+	}
+	for _, k := range []int{1, 5, 17} {
+		got, err := stream(t, p, exec.Request{Budget: exec.Budget{MaxCandidates: k}})
+		var le *exec.LimitError
+		if !errors.As(err, &le) || *le != (exec.LimitError{Limit: "candidates", Max: k, Candidates: k}) {
+			t.Errorf("MaxCandidates=%d: %v, want the candidates limit after %d", k, err, k)
+		}
+		if !reflect.DeepEqual(got, full[:k]) {
+			t.Errorf("MaxCandidates=%d: stream is not the first %d candidates of the full one", k, k)
+		}
 	}
 }

@@ -376,9 +376,9 @@ type Request struct {
 	Prune Prune
 
 	// Obs, when non-nil, receives the enumeration counters: candidates
-	// yielded and subtrees rejected by pruning. Counters are accumulated
-	// privately and flushed once per search, so the hot walk stays free
-	// of atomics; a nil sink costs one branch.
+	// yielded, subtrees rejected by pruning and skeletons assembled.
+	// Counters are accumulated privately and flushed once per search, so
+	// the hot walk stays free of atomics; a nil sink costs one branch.
 	Obs *obs.EnumStats
 
 	// PruneStats, when non-nil, additionally receives the pruned-subtree
@@ -411,34 +411,14 @@ func (p *Program) Search(ctx context.Context, req Request, yield func(*Candidate
 		return s.err
 	}
 
-	// Cartesian product over per-thread traces, thread 0 outermost.
-	choice := make([]int, len(p.Threads))
-	var product func(tid int) error
-	product = func(tid int) error {
-		if !s.alive(false) {
-			return nil
-		}
-		if tid == len(p.Threads) {
-			e, err := p.newExpansion(allTraces, choice)
-			if err != nil {
-				return err
-			}
-			if e != nil {
-				newWalker(e, s, req.Prune).walk(0)
-			}
-			return nil
-		}
-		for i := range allTraces[tid] {
-			choice[tid] = i
-			if err := product(tid + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := product(0); err != nil {
+	init, err := p.initValues()
+	if err != nil {
 		return err
 	}
+	p.feedableProduct(s, init, allTraces, func(_ []int, chosen []*Trace) {
+		s.skeletons++
+		newWalker(p.newExpansion(init, chosen), s, req.Prune).walk(0)
+	})
 	if s.err != nil {
 		return s.err
 	}

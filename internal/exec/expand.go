@@ -24,7 +24,7 @@ const (
 type decision struct {
 	kind decisionKind
 	read int // index into expansion.reads (decRF)
-	loc  int // index into expansion.locNames (decCO)
+	loc  int // index into expansion.locs (decCO)
 	pos  int // 0-based position among the non-init writes (decCO)
 }
 
@@ -50,83 +50,31 @@ type expansion struct {
 	rfCands   [][]int // per read: feeding-write candidates (same loc+value)
 	readIdxOf []int   // event ID -> index into reads (-1 otherwise)
 
-	// Multi-write locations, in Program.locs order; their coherence order
-	// is a decision, and their po-loc∪com projection is the prune check.
-	locNames []string
-	locWrite [][]int    // per location: write event IDs, init first
-	locRead  [][]int    // per location: read event IDs
-	locLocal [][]int    // per location: event ID -> local node index (-1)
-	locSize  []int      // per location: node count (writes + reads)
-	locPO    [][][2]int // per location: po-loc edges, in local indices
-	locPORR  [][]bool   // parallel to locPO: both endpoints are reads
+	// Multi-write locations, in Program.locs order.
+	locs []coLoc
 
 	decisions []decision
 	widths    []int // static width of each decision level
 }
 
-// newExpansion assembles the skeleton for one trace combination. It
-// returns (nil, nil) when the combination is infeasible (some read has no
-// same-value write to read from).
-func (p *Program) newExpansion(allTraces [][]Trace, choice []int) (*expansion, error) {
-	// Initial writes first: one per location, value from MemInit.
-	var evs []events.Event
-	for _, loc := range p.locs {
-		v, err := p.encode(p.Test.MemInit[loc])
-		if err != nil {
-			return nil, err
-		}
-		evs = append(evs, events.Event{
-			ID: len(evs), Tid: events.InitTid, PC: -1,
-			Kind: events.MemWrite, Loc: loc, Val: v,
-		})
-	}
+// coLoc is a location with writes besides its initial one: its coherence
+// order is a decision, and its po-loc∪com projection is the prune check.
+type coLoc struct {
+	name   string
+	writes []int    // write event IDs, init first
+	reads  []int    // read event IDs
+	local  []int    // event ID -> local node index (-1): writes, then reads
+	po     [][2]int // po-loc edges, in local indices
+	poRR   []bool   // parallel to po: both endpoints are reads
+}
 
-	var iico, iicoAddr, iicoData, rfReg [][2]int
-	finalRegs := map[litmus.RegKey]litmus.Value{}
-	for tid := range p.Threads {
-		tr := allTraces[tid][choice[tid]]
-		off := len(evs)
-		for _, e := range tr.Events {
-			e.ID += off
-			evs = append(evs, e)
-		}
-		shift := func(edges [][2]int, dst *[][2]int) {
-			for _, e := range edges {
-				*dst = append(*dst, [2]int{e[0] + off, e[1] + off})
-			}
-		}
-		shift(tr.IICO, &iico)
-		shift(tr.IICOAddr, &iicoAddr)
-		shift(tr.IICOData, &iicoData)
-		shift(tr.RFReg, &rfReg)
-		for r, v := range tr.FinalRegs {
-			finalRegs[litmus.RegKey{Tid: tid, Reg: r}] = p.Decode(v)
-		}
-	}
-
+// newExpansion assembles the skeleton for one trace per thread, whose
+// every read has a same-location, same-value write to read from (the
+// search checks that with feeds before calling).
+func (p *Program) newExpansion(init []int, traces []*Trace) *expansion {
+	x, finalRegs := p.skeleton(init, traces)
+	evs := x.Events
 	n := len(evs)
-	x := events.NewExecution(n)
-	x.Events = evs
-	for _, e := range iico {
-		x.IICO.Add(e[0], e[1])
-	}
-	for _, e := range iicoAddr {
-		x.IICOAddr.Add(e[0], e[1])
-	}
-	for _, e := range iicoData {
-		x.IICOData.Add(e[0], e[1])
-	}
-	for _, e := range rfReg {
-		x.RFReg.Add(e[0], e[1])
-	}
-	// Program order: same thread, strictly increasing PC.
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if evs[i].Tid != events.InitTid && evs[i].Tid == evs[j].Tid && evs[i].PC < evs[j].PC {
-				x.PO.Add(i, j)
-			}
-		}
-	}
 
 	// Gather reads and per-location accesses.
 	var reads []int
@@ -155,9 +103,6 @@ func (p *Program) newExpansion(allTraces [][]Trace, choice []int) (*expansion, e
 				rfCands[i] = append(rfCands[i], w)
 			}
 		}
-		if len(rfCands[i]) == 0 {
-			return nil, nil // no write can feed this read: infeasible combination
-		}
 	}
 
 	e := &expansion{
@@ -172,51 +117,48 @@ func (p *Program) newExpansion(allTraces [][]Trace, choice []int) (*expansion, e
 			e.baseMem[loc] = p.Decode(evs[ws[len(ws)-1]].Val)
 			continue
 		}
-		e.locNames = append(e.locNames, loc)
-		e.locWrite = append(e.locWrite, ws)
-		e.locRead = append(e.locRead, readsOf[loc])
-		local := make([]int, n)
-		for i := range local {
-			local[i] = -1
+		if e.locs == nil {
+			e.locs = make([]coLoc, 0, len(p.locs))
 		}
-		var members []int
-		for _, id := range ws {
-			local[id] = len(members)
-			members = append(members, id)
+		cl := coLoc{name: loc, writes: ws, reads: readsOf[loc], local: make([]int, n)}
+		for i := range cl.local {
+			cl.local[i] = -1
 		}
-		for _, id := range readsOf[loc] {
-			local[id] = len(members)
-			members = append(members, id)
+		members := make([]int, 0, len(cl.writes)+len(cl.reads))
+		members = append(append(members, cl.writes...), cl.reads...)
+		for i, id := range members {
+			cl.local[id] = i
 		}
-		e.locLocal = append(e.locLocal, local)
-		e.locSize = append(e.locSize, len(members))
-		var po [][2]int
-		var rr []bool
 		for _, a := range members {
 			for _, b := range members {
 				if x.PO.Has(a, b) {
-					po = append(po, [2]int{local[a], local[b]})
-					rr = append(rr, evs[a].Kind == events.MemRead && evs[b].Kind == events.MemRead)
+					cl.po = append(cl.po, [2]int{cl.local[a], cl.local[b]})
+					cl.poRR = append(cl.poRR, evs[a].Kind == events.MemRead && evs[b].Kind == events.MemRead)
 				}
 			}
 		}
-		e.locPO = append(e.locPO, po)
-		e.locPORR = append(e.locPORR, rr)
+		e.locs = append(e.locs, cl)
 	}
 
 	// The decision tree: every rf level, then every co level.
+	levels := len(reads)
+	for _, cl := range e.locs {
+		levels += len(cl.writes) - 1
+	}
+	e.decisions = make([]decision, 0, levels)
+	e.widths = make([]int, 0, levels)
 	for ri := range reads {
 		e.decisions = append(e.decisions, decision{kind: decRF, read: ri})
 		e.widths = append(e.widths, len(rfCands[ri]))
 	}
-	for li := range e.locNames {
-		m := len(e.locWrite[li]) - 1 // non-init writes to place
+	for li, cl := range e.locs {
+		m := len(cl.writes) - 1 // non-init writes to place
 		for pos := 0; pos < m; pos++ {
 			e.decisions = append(e.decisions, decision{kind: decCO, loc: li, pos: pos})
 			e.widths = append(e.widths, m-pos)
 		}
 	}
-	return e, nil
+	return e
 }
 
 // walker holds the mutable decision state of one depth-first walk over an
@@ -235,11 +177,11 @@ func newWalker(e *expansion, s *search, prune Prune) *walker {
 	w := &walker{
 		e: e, s: s, prune: prune,
 		rfPick: make([]int, len(e.reads)),
-		orders: make([][]int, len(e.locNames)),
-		used:   make([][]bool, len(e.locNames)),
+		orders: make([][]int, len(e.locs)),
+		used:   make([][]bool, len(e.locs)),
 	}
-	for li := range e.locNames {
-		ws := e.locWrite[li]
+	for li, cl := range e.locs {
+		ws := cl.writes
 		order := make([]int, 1, len(ws))
 		order[0] = ws[0] // the initial write is first by convention
 		w.orders[li] = order
@@ -266,7 +208,7 @@ func (w *walker) apply(level, c int) bool {
 	}
 	// decCO: place the c-th not-yet-used non-init write next, counting in
 	// ascending event-ID order — the canonical (lexicographic) ordering.
-	ws := w.e.locWrite[d.loc]
+	ws := w.e.locs[d.loc].writes
 	used := w.used[d.loc]
 	pick := -1
 	for i, cnt := 0, -1; i < len(used); i++ {
@@ -295,7 +237,7 @@ func (w *walker) undo(level int) {
 	order := w.orders[d.loc]
 	placed := order[len(order)-1]
 	w.orders[d.loc] = order[:len(order)-1]
-	ws := w.e.locWrite[d.loc]
+	ws := w.e.locs[d.loc].writes
 	for i := 1; i < len(ws); i++ {
 		if ws[i] == placed {
 			w.used[d.loc][i-1] = false
@@ -335,14 +277,15 @@ func (w *walker) walk(level int) {
 // this location.
 func (w *walker) locAcyclic(li int) bool {
 	e := w.e
-	m := e.locSize[li]
-	local := e.locLocal[li]
+	cl := &e.locs[li]
+	m := len(cl.writes) + len(cl.reads)
+	local := cl.local
 	order := w.orders[li]
 
 	adj := make([][]int, m)
 	add := func(a, b int) { adj[a] = append(adj[a], b) }
-	for i, edge := range e.locPO[li] {
-		if w.prune == PruneSCPerLocNoRR && e.locPORR[li][i] {
+	for i, edge := range cl.po {
+		if w.prune == PruneSCPerLocNoRR && cl.poRR[i] {
 			continue // load-load hazard allowed: read-read pairs exempt
 		}
 		add(edge[0], edge[1])
@@ -355,7 +298,7 @@ func (w *walker) locAcyclic(li int) bool {
 			add(local[order[i-1]], local[wr])
 		}
 	}
-	for _, r := range e.locRead[li] {
+	for _, r := range cl.reads {
 		wr := w.rfPick[e.readIdxOf[r]]
 		add(local[wr], local[r]) // rf: w -> r
 		if p := pos[local[wr]]; p+1 < len(order) {
@@ -445,14 +388,14 @@ func (w *walker) emitCandidate() {
 	for loc, v := range e.baseMem {
 		finalMem[loc] = v
 	}
-	for li, loc := range e.locNames {
+	for li, cl := range e.locs {
 		order := w.orders[li]
 		for i := 0; i < len(order); i++ {
 			for j := i + 1; j < len(order); j++ {
 				cx.CO.Add(order[i], order[j])
 			}
 		}
-		finalMem[loc] = e.p.Decode(e.evs[order[len(order)-1]].Val)
+		finalMem[cl.name] = e.p.Decode(e.evs[order[len(order)-1]].Val)
 	}
 	cx.AdoptStatic(e.x)
 	cx.DeriveDynamicInto(sl.arena)

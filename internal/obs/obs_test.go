@@ -64,6 +64,7 @@ func TestConcurrentCounters(t *testing.T) {
 				h.Observe(int64(i))
 				e.AddCandidates(1)
 				e.AddPruned(2)
+				e.AddSkeletons(3)
 			}
 		}()
 	}
@@ -78,7 +79,7 @@ func TestConcurrentCounters(t *testing.T) {
 		t.Errorf("histogram count = %d, want %d", h.Count(), workers*perWorker)
 	}
 	snap := e.Snapshot()
-	if snap.Candidates != workers*perWorker || snap.Pruned != 2*workers*perWorker {
+	if snap.Candidates != workers*perWorker || snap.Pruned != 2*workers*perWorker || snap.Skeletons != 3*workers*perWorker {
 		t.Errorf("enum stats = %+v", snap)
 	}
 }
@@ -107,7 +108,8 @@ func TestNilSinksNoOp(t *testing.T) {
 	var e *obs.EnumStats
 	e.AddCandidates(1)
 	e.AddPruned(1)
-	e.Merge(obs.EnumSnapshot{Candidates: 9})
+	e.AddSkeletons(1)
+	e.Merge(obs.EnumSnapshot{Candidates: 9, Skeletons: 2})
 	if e.Snapshot() != (obs.EnumSnapshot{}) {
 		t.Error("nil enum stats recorded")
 	}
@@ -143,6 +145,7 @@ func TestTraceSummaryOrder(t *testing.T) {
 	tr.Observe(obs.PhaseCompile, 3*time.Millisecond)
 	tr.Observe(obs.PhaseCompile, time.Millisecond) // accumulates
 	tr.Enum().AddCandidates(7)
+	tr.Enum().AddSkeletons(2)
 
 	sum := tr.Summary()
 	if sum == nil {
@@ -159,8 +162,12 @@ func TestTraceSummaryOrder(t *testing.T) {
 	if sum.Phases[0].DurationUS != 4000 {
 		t.Errorf("compile duration %dus, want 4000 (accumulated)", sum.Phases[0].DurationUS)
 	}
-	if sum.Enum.Candidates != 7 {
+	if sum.Enum.Candidates != 7 || sum.Enum.Skeletons != 2 {
 		t.Errorf("enum counters %+v", sum.Enum)
+	}
+	// The -stats table: skeletons assembled, then candidates yielded.
+	if txt := sum.String(); !strings.Contains(txt, "  skeletons             2\n  candidates            7\n") {
+		t.Errorf("summary table lacks the skeletons and candidates rows:\n%s", txt)
 	}
 
 	if obs.NewTrace().Summary() != nil {

@@ -28,13 +28,14 @@ var phaseOrder = map[string]int{
 }
 
 // EnumStats collects the counters one (or many) enumerations report:
-// candidates yielded and subtrees rejected by early SC-per-location
-// pruning. All methods are nil-safe and safe for concurrent use; the
-// engine accumulates privately and flushes once per search, so the hot
-// walk never touches an atomic.
+// candidates yielded, subtrees rejected by early SC-per-location pruning,
+// and skeletons (trace combinations) assembled. All methods are nil-safe
+// and safe for concurrent use; the engine accumulates privately and
+// flushes once per search, so the hot walk never touches an atomic.
 type EnumStats struct {
 	candidates atomic64
 	pruned     atomic64
+	skeletons  atomic64
 }
 
 // atomic64 aliases the counter implementation so EnumStats stays compact.
@@ -56,6 +57,14 @@ func (s *EnumStats) AddPruned(n int) {
 	s.pruned.Add(n)
 }
 
+// AddSkeletons records n skeletons (trace combinations) assembled.
+func (s *EnumStats) AddSkeletons(n int) {
+	if s == nil {
+		return
+	}
+	s.skeletons.Add(n)
+}
+
 // Merge folds a snapshot into s (for per-request stats rolling up into a
 // process-wide aggregate).
 func (s *EnumStats) Merge(snap EnumSnapshot) {
@@ -64,12 +73,14 @@ func (s *EnumStats) Merge(snap EnumSnapshot) {
 	}
 	s.candidates.v.Add(snap.Candidates)
 	s.pruned.v.Add(snap.Pruned)
+	s.skeletons.v.Add(snap.Skeletons)
 }
 
 // EnumSnapshot is the JSON-ready copy of an EnumStats.
 type EnumSnapshot struct {
 	Candidates uint64 `json:"candidates"`
 	Pruned     uint64 `json:"pruned,omitempty"`
+	Skeletons  uint64 `json:"skeletons,omitempty"`
 }
 
 // Add folds another snapshot into s (counters sum). Used when aggregating
@@ -77,6 +88,7 @@ type EnumSnapshot struct {
 func (s *EnumSnapshot) Add(o EnumSnapshot) {
 	s.Candidates += o.Candidates
 	s.Pruned += o.Pruned
+	s.Skeletons += o.Skeletons
 }
 
 // Snapshot copies the counters (zero value for nil).
@@ -87,6 +99,7 @@ func (s *EnumStats) Snapshot() EnumSnapshot {
 	return EnumSnapshot{
 		Candidates: s.candidates.Value(),
 		Pruned:     s.pruned.Value(),
+		Skeletons:  s.skeletons.Value(),
 	}
 }
 
@@ -189,6 +202,9 @@ func (j *TraceJSON) String() string {
 	var b strings.Builder
 	for _, s := range j.Phases {
 		fmt.Fprintf(&b, "  %-10s %12s\n", s.Phase, time.Duration(s.DurationUS)*time.Microsecond)
+	}
+	if j.Enum.Skeletons > 0 {
+		fmt.Fprintf(&b, "  %-10s %12d\n", "skeletons", j.Enum.Skeletons)
 	}
 	fmt.Fprintf(&b, "  %-10s %12d\n", "candidates", j.Enum.Candidates)
 	if j.Enum.Pruned > 0 {

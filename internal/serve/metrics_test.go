@@ -69,6 +69,7 @@ func TestMetricsEndpointGolden(t *testing.T) {
 		"herdd_enum_candidates_total":      "counter",
 		"herdd_enum_pruned_total":          "counter",
 		"herdd_enum_pruned_subtrees_total": "counter",
+		"herdd_enum_skeletons_total":       "counter",
 		"herdd_http_in_flight":             "gauge",
 		"herdd_request_latency_us":         "histogram",
 		"herdd_requests_total":             "counter",
@@ -123,6 +124,9 @@ func TestMetricsEndpointGolden(t *testing.T) {
 	// engine's business, but zero would mean the enum counters never wired.
 	if v := samples["herdd_enum_candidates_total"]; v == 0 {
 		t.Error("enum candidates counter never incremented")
+	}
+	if v := samples["herdd_enum_skeletons_total"]; v == 0 {
+		t.Error("enum skeletons counter never incremented")
 	}
 	// Histogram integrity: count ≥ 1 and the +Inf bucket equals the count.
 	count := samples[`herdd_request_latency_us_bucket{route="/v1/run",le="+Inf"}`]

@@ -157,6 +157,7 @@ func (s *Server) registerMetrics() {
 	r := s.reg
 	r.CounterFunc("herdd_enum_candidates_total", func() uint64 { return s.enum.Snapshot().Candidates })
 	r.CounterFunc("herdd_enum_pruned_total", func() uint64 { return s.enum.Snapshot().Pruned })
+	r.CounterFunc("herdd_enum_skeletons_total", func() uint64 { return s.enum.Snapshot().Skeletons })
 	r.CounterFunc("herdd_enum_pruned_subtrees_total", func() uint64 { return uint64(s.prune.Subtrees()) })
 	r.CounterFunc("herdd_cache_hits_total", func() uint64 { return s.cache.Stats().Hits })
 	r.CounterFunc("herdd_cache_waits_total", func() uint64 { return s.cache.Stats().Waits })
