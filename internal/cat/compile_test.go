@@ -7,7 +7,8 @@ package cat_test
 // verdicts for randomly generated programs, and identical (error, not
 // panic) behaviour on models that fail to evaluate. The corpus outcomes
 // are also pinned to a golden file, so a change to the enumeration that
-// moves any verdict, count or final state shows up here.
+// moves any verdict, count or final state shows up here; a second golden
+// file pins the same outcomes under the native Go models.
 
 import (
 	"context"
@@ -25,6 +26,7 @@ import (
 	"herdcats/internal/catalog"
 	"herdcats/internal/exec"
 	"herdcats/internal/litmus"
+	"herdcats/internal/models"
 	"herdcats/internal/sim"
 )
 
@@ -66,7 +68,7 @@ func outcomeBytes(t *testing.T, p *exec.Program, checker sim.Checker) []byte {
 	return b
 }
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/corpus_outcomes.golden from the current outcomes")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/*_outcomes.golden files of the tests run from the current outcomes")
 
 // goldenOutcomes pins sim.Simulate's OutcomeJSON for corpus × zoo: one
 // line per model and test with the first 16 hex digits of the SHA-256 of
@@ -100,19 +102,33 @@ func TestCompiledEquivalenceZoo(t *testing.T) {
 					t.Errorf("%s: compiled outcome diverges\n got %s\nwant %s", tst.Name, got, want)
 				}
 				key := name + " " + tst.Name
-				lines = append(lines, fmt.Sprintf("%s %x", key, sha256.Sum256(got))[:len(key)+17])
+				lines = append(lines, goldenLine(key, got))
 				outcomes[key] = string(got)
 			}
 		})
 	}
+	matchGolden(t, goldenOutcomes, lines, outcomes)
+}
+
+// goldenLine renders one golden row: the key, then the first 16 hex digits
+// of the SHA-256 of the outcome's JSON bytes.
+func goldenLine(key string, outcome []byte) string {
+	return fmt.Sprintf("%s %x", key, sha256.Sum256(outcome))[:len(key)+17]
+}
+
+// matchGolden compares the rows against the golden file at path (or
+// rewrites it under -update-golden), reporting every moved row with the
+// full outcome behind it.
+func matchGolden(t *testing.T, path string, lines []string, outcomes map[string]string) {
+	t.Helper()
 	got := strings.Join(lines, "\n") + "\n"
 	if *updateGolden {
-		if err := os.WriteFile(goldenOutcomes, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(goldenOutcomes)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +137,7 @@ func TestCompiledEquivalenceZoo(t *testing.T) {
 	}
 	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
 	if len(wantLines) != len(lines) {
-		t.Fatalf("%s has %d outcomes, the corpus × zoo %d", goldenOutcomes, len(wantLines), len(lines))
+		t.Fatalf("%s has %d outcomes, the corpus × models %d", path, len(wantLines), len(lines))
 	}
 	for i, l := range lines {
 		if l != wantLines[i] {
@@ -129,6 +145,34 @@ func TestCompiledEquivalenceZoo(t *testing.T) {
 			t.Errorf("outcome moved: %s, want %s\n got %s", l, wantLines[i], outcomes[key])
 		}
 	}
+}
+
+// nativeOutcomes pins sim.Simulate's OutcomeJSON for corpus × the native
+// Go models of package models, in the same row format as goldenOutcomes.
+const nativeOutcomes = "testdata/native_outcomes.golden"
+
+// TestNativeOutcomesGolden: the hand-written models are the differential
+// oracle of the cat zoo, crosscheck and the hardware experiments, so every
+// corpus outcome under each of them (the zoo plus the nodetour ablations)
+// is pinned; a rewrite of package models or core must leave every row
+// byte-identical.
+func TestNativeOutcomesGolden(t *testing.T) {
+	tests := corpusTests(t)
+	var lines []string
+	outcomes := map[string]string{}
+	for _, m := range append(models.All(), models.PowerStatic, models.ARMStatic) {
+		for _, tst := range tests {
+			p, err := exec.Compile(tst)
+			if err != nil {
+				t.Fatalf("%s: %v", tst.Name, err)
+			}
+			got := outcomeBytes(t, p, m)
+			key := m.Name() + " " + tst.Name
+			lines = append(lines, goldenLine(key, got))
+			outcomes[key] = string(got)
+		}
+	}
+	matchGolden(t, nativeOutcomes, lines, outcomes)
 }
 
 // randModel generates a random (valid) cat program exercising the lowering:
