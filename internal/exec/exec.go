@@ -29,18 +29,14 @@ const addrBase = 0x1000
 
 // Candidate is one candidate execution with its observable final state.
 //
-// Ownership: a candidate delivered by Program.Search is backed by the
+// Ownership: a candidate delivered by Program.Search lives in the
 // search's reusable arena slot and is valid only for the duration of the
-// yield callback — the next candidate is derived into the same buffers.
-// Callers that retain a candidate (or any relation reachable from X) past
-// their yield must take a Clone; a retained original is detectably stale
-// (Expired reports true) rather than silently corrupt.
+// yield callback — the next candidate is derived into the same buffers,
+// header included. Callers that retain a candidate (or any relation
+// reachable from X) past their yield must take a Clone.
 type Candidate struct {
 	X     *events.Execution
 	State *litmus.State
-
-	slot *candSlot // arena slot backing this candidate; nil for standalone copies
-	gen  uint64    // slot generation at emit time
 }
 
 // Clone returns a standalone deep copy of the candidate that stays valid
@@ -63,14 +59,6 @@ func (c *Candidate) Clone() *Candidate {
 		st.Mem[k] = v
 	}
 	return &Candidate{X: &x, State: st}
-}
-
-// Expired reports whether the arena slot backing this candidate has since
-// been reused for a later candidate, i.e. the holder violated the yield
-// lifetime without cloning. Standalone candidates (clones, hand-built ones)
-// never expire.
-func (c *Candidate) Expired() bool {
-	return c.slot != nil && c.slot.gen != c.gen
 }
 
 // Program is a compiled litmus test, ready for enumeration.
@@ -393,10 +381,9 @@ type Request struct {
 // bound trips, returning an error matching ErrCanceled or
 // ErrBudgetExceeded.
 //
-// Candidates are delivered zero-copy: each *Candidate is backed by the
+// Candidates are delivered zero-copy: each *Candidate lives in the
 // search's reusable arena slot and is valid only for the duration of its
-// yield call. Consume it in place, or take Candidate.Clone to retain it;
-// a retained original reports Expired once the slot moves on.
+// yield call. Consume it in place, or take Candidate.Clone to retain it.
 func (p *Program) Search(ctx context.Context, req Request, yield func(*Candidate) bool) error {
 	s := newSearch(ctx, req.Budget, yield)
 	defer s.flush(req.Obs, req.PruneStats)

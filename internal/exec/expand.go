@@ -331,20 +331,15 @@ func (w *walker) locAcyclic(li int) bool {
 }
 
 // candSlot is the reusable candidate arena of one search. Every candidate
-// the search yields is materialised into the same Execution and final
-// state, with the relation buffers drawn from (and recycled through) one
-// rel.Arena — steady-state emission allocates nothing but the small
-// Candidate header. The header is deliberately NOT part of the slot: it
-// carries the emit-time generation, and stamping it into reused memory
-// would overwrite a retained header's stamp, making Candidate.Expired
-// always agree with the slot. The generation counter advances at every
-// refill, so a candidate retained past its yield is detectably stale
-// instead of silently corrupt. A slot belongs to exactly one search.
+// the search yields is materialised into the same Candidate header,
+// Execution and final state, with the relation buffers drawn from (and
+// recycled through) one rel.Arena — steady-state emission allocates
+// nothing. A slot belongs to exactly one search.
 type candSlot struct {
 	arena *rel.Arena
+	cand  Candidate
 	x     events.Execution
 	state litmus.State
-	gen   uint64
 }
 
 // emitCandidate materialises the fully-decided assignment into the search's
@@ -400,6 +395,6 @@ func (w *walker) emitCandidate() {
 	cx.AdoptStatic(e.x)
 	cx.DeriveDynamicInto(sl.arena)
 	sl.state.Regs = e.finalRegs
-	sl.gen++
-	w.s.emit(&Candidate{X: cx, State: &sl.state, slot: sl, gen: sl.gen})
+	sl.cand = Candidate{X: cx, State: &sl.state}
+	w.s.emit(&sl.cand)
 }
