@@ -24,7 +24,8 @@ import (
 
 // Architecture is the triple (ppo, fences, prop) of Sec. 4.1.
 // Each function receives a derived candidate execution and returns a
-// relation over its events.
+// relation over its events. The result may share storage with x (a fence
+// relation, say), so callers treat it as read-only.
 type Architecture interface {
 	// Name identifies the architecture, e.g. "Power".
 	Name() string
@@ -41,22 +42,23 @@ type Architecture interface {
 	Prop(x *events.Execution, ppo, fences rel.Rel) rel.Rel
 }
 
-// Checker validates one candidate execution. It mirrors sim.Checker (the
-// method sets are identical, so values convert freely between the two);
-// it is defined here as well so evaluator providers in leaf packages
-// (models, cat) can name the type without importing the simulator.
+// Checker validates one candidate execution. It is defined here, below
+// the simulator, so leaf packages (models, cat) can name it without
+// importing sim; sim.Checker is an alias of it.
 type Checker interface {
 	Name() string
 	Check(x *events.Execution) Result
 }
 
 // EvaluatorProvider is implemented by checkers that can supply a stateful
-// per-search evaluator — typically one owning an arena of pooled relation
-// buffers, so steady-state checking allocates nothing. sim.Simulate asks
-// for one evaluator per search and calls its Check from a single
-// goroutine; the provider itself must stay safe for concurrent use (it is
-// shared through caches), and each evaluator must be independent. A nil
-// evaluator tells the caller to fall back to the provider's own Check.
+// per-search evaluator — compiled cat models, whose evaluator owns an arena
+// of pooled relation buffers, so steady-state checking allocates nothing.
+// The native models of package models are plain checkers and do not
+// implement it. sim.Simulate asks for one evaluator per search and calls
+// its Check from a single goroutine; the provider itself must stay safe
+// for concurrent use (it is shared through caches), and each evaluator
+// must be independent. A nil evaluator tells the caller to fall back to
+// the provider's own Check.
 type EvaluatorProvider interface {
 	NewEvaluator() Checker
 }
@@ -128,17 +130,6 @@ func (r Result) FailedSet() map[Axiom]bool {
 	return m
 }
 
-// ArenaArchitecture is optionally implemented by architectures whose
-// (ppo, fences, prop) functions can draw every scratch and result buffer
-// from an arena. The returned relations are arena-owned: the caller uses
-// them and returns them with Put. The arena may be nil, in which case the
-// methods must behave like their plain counterparts.
-type ArenaArchitecture interface {
-	PPOArena(x *events.Execution, ar *rel.Arena) rel.Rel
-	FencesArena(x *events.Execution, ar *rel.Arena) rel.Rel
-	PropArena(x *events.Execution, ppo, fences rel.Rel, ar *rel.Arena) rel.Rel
-}
-
 // Check validates x against arch with default options.
 func Check(arch Architecture, x *events.Execution) Result {
 	return CheckWith(arch, x, Options{})
@@ -148,97 +139,29 @@ func Check(arch Architecture, x *events.Execution) Result {
 // All four axioms are always evaluated (unless disabled) so that the result
 // carries the full classification, not just the first failure.
 func CheckWith(arch Architecture, x *events.Execution, opts Options) Result {
-	return CheckWithArena(arch, x, opts, nil)
-}
-
-// CheckWithArena is CheckWith drawing every intermediate relation from the
-// given arena: with a warm arena (one per search, reused across the
-// candidates of a skeleton) the steady-state check allocates no bitsets.
-// A nil arena degrades to allocate-per-call, which is exactly CheckWith.
-func CheckWithArena(arch Architecture, x *events.Execution, opts Options, ar *rel.Arena) Result {
-	n := x.N()
 	var failed []Axiom
-
-	// SC PER LOCATION: acyclic(po-loc ∪ com), honouring load-load hazards.
-	sc := ar.Get(n)
-	sc.CopyFrom(x.POLoc)
-	if opts.AllowLoadLoadHazard {
-		rr := ar.Get(n)
-		rr.CopyFrom(x.POLoc)
-		rr.RestrictInPlace(x.R, x.R)
-		sc.DiffInto(rr)
-		ar.Put(rr)
-	}
-	sc.UnionInto(x.Com)
-	if !sc.AcyclicScratch(ar.DFS()) {
+	if !SCPerLocationHolds(x, opts) {
 		failed = append(failed, SCPerLocation)
 	}
-	ar.Put(sc)
 
-	// The architecture's ingredients. Arena-aware architectures hand back
-	// arena-owned buffers we return below; plain ones allocate (and may
-	// return relations shared with x, e.g. a fence map entry), so their
-	// results must not be put back in the pool.
-	aa, owned := arch.(ArenaArchitecture)
-	var ppo, fences rel.Rel
-	if owned {
-		ppo = aa.PPOArena(x, ar)
-		fences = aa.FencesArena(x, ar)
-	} else {
-		ppo = arch.PPO(x)
-		fences = arch.Fences(x)
-	}
-
-	// NO THIN AIR: acyclic(hb), hb = ppo ∪ fences ∪ rfe.
-	hb := ar.Get(n)
-	hb.CopyFrom(ppo)
-	hb.UnionInto(fences)
-	hb.UnionInto(x.RFE)
-	if !opts.SkipNoThinAir && !hb.AcyclicScratch(ar.DFS()) {
+	ppo := arch.PPO(x)
+	fences := arch.Fences(x)
+	hb := HB(x, ppo, fences)
+	if !opts.SkipNoThinAir && !hb.Acyclic() {
 		failed = append(failed, NoThinAir)
 	}
 
-	var prop rel.Rel
-	if owned {
-		prop = aa.PropArena(x, ppo, fences, ar)
-	} else {
-		prop = arch.Prop(x, ppo, fences)
-	}
-
-	// OBSERVATION: irreflexive(fre ; prop ; hb*).
-	hbStar := ar.Get(n)
-	hbStar.CopyFrom(hb)
-	hbStar.PlusInPlace()
-	hbStar.UnionIdentity()
-	t1 := ar.Get(n)
-	t1.SeqInto(x.FRE, prop)
-	t2 := ar.Get(n)
-	t2.SeqInto(t1, hbStar)
-	if !t2.Irreflexive() {
+	prop := arch.Prop(x, ppo, fences)
+	if !x.FRE.Seq(prop).Seq(hb.Star()).Irreflexive() {
 		failed = append(failed, Observation)
 	}
 
-	// PROPAGATION: acyclic(co ∪ prop), or the weak irreflexive(prop ; co).
 	if opts.WeakPropagation {
-		t1.SeqInto(prop, x.CO)
-		if !t1.Irreflexive() {
+		if !prop.Seq(x.CO).Irreflexive() {
 			failed = append(failed, Propagation)
 		}
-	} else {
-		t1.CopyFrom(x.CO)
-		t1.UnionInto(prop)
-		if !t1.AcyclicScratch(ar.DFS()) {
-			failed = append(failed, Propagation)
-		}
-	}
-	ar.Put(t2)
-	ar.Put(t1)
-	ar.Put(hbStar)
-	ar.Put(hb)
-	if owned {
-		ar.Put(prop)
-		ar.Put(fences)
-		ar.Put(ppo)
+	} else if !x.CO.Union(prop).Acyclic() {
+		failed = append(failed, Propagation)
 	}
 
 	names := make([]string, len(failed))

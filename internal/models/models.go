@@ -26,27 +26,6 @@ func (m Model) Check(x *events.Execution) core.Result {
 	return core.CheckWith(m.Arch, x, m.Opts)
 }
 
-// NewEvaluator implements core.EvaluatorProvider: the returned checker
-// reuses one arena of pooled relation buffers across candidates, so the
-// steady-state axiom check (including the Power/ARM ppo fixpoint) runs
-// without allocating bitsets. One evaluator serves one goroutine;
-// sim.Simulate requests one per search.
-func (m Model) NewEvaluator() core.Checker {
-	return &arenaChecker{m: m, ar: rel.NewArena()}
-}
-
-// arenaChecker is a Model bound to a private arena.
-type arenaChecker struct {
-	m  Model
-	ar *rel.Arena
-}
-
-func (c *arenaChecker) Name() string { return c.m.Name() }
-
-func (c *arenaChecker) Check(x *events.Execution) core.Result {
-	return core.CheckWithArena(c.m.Arch, x, c.m.Opts, c.ar)
-}
-
 // PruneLevel declares the early SC-per-location pruning level sound for
 // this model (sim.PruneCapable): core.CheckWith evaluates the SC PER
 // LOCATION axiom for every architecture, so any candidate whose po-loc ∪
@@ -113,31 +92,12 @@ type scArch struct{}
 
 func (scArch) Name() string { return "SC" }
 
-func (a scArch) PPO(x *events.Execution) rel.Rel { return a.PPOArena(x, nil) }
+func (scArch) PPO(x *events.Execution) rel.Rel { return x.PO.Restrict(x.M, x.M) }
 
-func (a scArch) Fences(x *events.Execution) rel.Rel { return a.FencesArena(x, nil) }
+func (scArch) Fences(x *events.Execution) rel.Rel { return rel.New(x.N()) }
 
-func (a scArch) Prop(x *events.Execution, ppo, fences rel.Rel) rel.Rel {
-	return a.PropArena(x, ppo, fences, nil)
-}
-
-func (scArch) PPOArena(x *events.Execution, ar *rel.Arena) rel.Rel {
-	ppo := ar.Get(x.N())
-	ppo.CopyFrom(x.PO)
-	ppo.RestrictInPlace(x.M, x.M)
-	return ppo
-}
-
-func (scArch) FencesArena(x *events.Execution, ar *rel.Arena) rel.Rel {
-	return ar.Get(x.N())
-}
-
-func (scArch) PropArena(x *events.Execution, ppo, _ rel.Rel, ar *rel.Arena) rel.Rel {
-	prop := ar.Get(x.N())
-	prop.CopyFrom(ppo)
-	prop.UnionInto(x.MemRF())
-	prop.UnionInto(x.FR)
-	return prop
+func (scArch) Prop(x *events.Execution, ppo, _ rel.Rel) rel.Rel {
+	return ppo.Union(x.MemRF()).Union(x.FR)
 }
 
 // ---------------------------------------------------------------------------
@@ -148,50 +108,15 @@ type tsoArch struct{}
 
 func (tsoArch) Name() string { return "TSO" }
 
-func (a tsoArch) PPO(x *events.Execution) rel.Rel { return a.PPOArena(x, nil) }
-
-func (a tsoArch) Fences(x *events.Execution) rel.Rel { return a.FencesArena(x, nil) }
-
-func (a tsoArch) Prop(x *events.Execution, ppo, fences rel.Rel) rel.Rel {
-	return a.PropArena(x, ppo, fences, nil)
+func (tsoArch) PPO(x *events.Execution) rel.Rel {
+	po := x.PO.Restrict(x.M, x.M)
+	return po.Diff(po.Restrict(x.W, x.R))
 }
 
-func (tsoArch) PPOArena(x *events.Execution, ar *rel.Arena) rel.Rel {
-	po := ar.Get(x.N())
-	po.CopyFrom(x.PO)
-	po.RestrictInPlace(x.M, x.M)
-	wr := ar.Get(x.N())
-	wr.CopyFrom(po)
-	wr.RestrictInPlace(x.W, x.R)
-	po.DiffInto(wr)
-	ar.Put(wr)
-	return po
-}
+func (tsoArch) Fences(x *events.Execution) rel.Rel { return x.Fences(events.FenceMFence) }
 
-func (tsoArch) FencesArena(x *events.Execution, ar *rel.Arena) rel.Rel {
-	f := ar.Get(x.N())
-	copyFence(f, x, events.FenceMFence)
-	return f
-}
-
-func (tsoArch) PropArena(x *events.Execution, ppo, fences rel.Rel, ar *rel.Arena) rel.Rel {
-	prop := ar.Get(x.N())
-	prop.CopyFrom(ppo)
-	prop.UnionInto(fences)
-	prop.UnionInto(x.RFE)
-	prop.UnionInto(x.FR)
-	return prop
-}
-
-// copyFence overwrites dst with the execution's fence relation of the given
-// kind (empty if the kind is unused), without allocating the empty relation
-// x.Fences would hand back for a missing kind.
-func copyFence(dst rel.Rel, x *events.Execution, kind events.FenceKind) {
-	if f, ok := x.FenceRel[kind]; ok {
-		dst.CopyFrom(f)
-	} else {
-		dst.Clear()
-	}
+func (tsoArch) Prop(x *events.Execution, ppo, fences rel.Rel) rel.Rel {
+	return ppo.Union(fences).Union(x.RFE).Union(x.FR)
 }
 
 // ---------------------------------------------------------------------------
@@ -202,31 +127,12 @@ type cppRAArch struct{}
 
 func (cppRAArch) Name() string { return "C++ R-A" }
 
-func (a cppRAArch) PPO(x *events.Execution) rel.Rel { return a.PPOArena(x, nil) }
+func (cppRAArch) PPO(x *events.Execution) rel.Rel { return x.PO.Restrict(x.M, x.M) }
 
-func (a cppRAArch) Fences(x *events.Execution) rel.Rel { return a.FencesArena(x, nil) }
+func (cppRAArch) Fences(x *events.Execution) rel.Rel { return rel.New(x.N()) }
 
-func (a cppRAArch) Prop(x *events.Execution, ppo, fences rel.Rel) rel.Rel {
-	return a.PropArena(x, ppo, fences, nil)
-}
-
-func (cppRAArch) PPOArena(x *events.Execution, ar *rel.Arena) rel.Rel {
-	ppo := ar.Get(x.N())
-	ppo.CopyFrom(x.PO)
-	ppo.RestrictInPlace(x.M, x.M)
-	return ppo
-}
-
-func (cppRAArch) FencesArena(x *events.Execution, ar *rel.Arena) rel.Rel {
-	return ar.Get(x.N())
-}
-
-func (cppRAArch) PropArena(x *events.Execution, ppo, _ rel.Rel, ar *rel.Arena) rel.Rel {
-	prop := ar.Get(x.N())
-	prop.CopyFrom(ppo)
-	prop.UnionInto(x.MemRF())
-	prop.PlusInPlace()
-	return prop
+func (cppRAArch) Prop(x *events.Execution, ppo, _ rel.Rel) rel.Rel {
+	return ppo.Union(x.MemRF()).Plus()
 }
 
 // ---------------------------------------------------------------------------
@@ -247,151 +153,50 @@ const (
 // the Power or ARM cc0. When static is true, the dynamic ingredients rdw
 // and detour are excluded — the "more static" ppo the paper advocates
 // exploring at the end of Sec. 8.2, reproduced by the nodetour ablation.
-func ppoFixpoint(x *events.Execution, cfence events.FenceKind, variant ppoVariant, static bool, ar *rel.Arena) rel.Rel {
+func ppoFixpoint(x *events.Execution, cfence events.FenceKind, variant ppoVariant, static bool) rel.Rel {
 	n := x.N()
-	dp := ar.Get(n)
-	dp.CopyFrom(x.Addr)
-	dp.UnionInto(x.Data)
-	tmp := ar.Get(n)
-	rdw := ar.Get(n)
-	detour := ar.Get(n)
+	dp := x.Addr.Union(x.Data)
+	rdw, detour := rel.New(n), rel.New(n)
 	if !static {
-		tmp.SeqInto(x.FRE, x.RFE)
-		rdw.CopyFrom(x.POLoc)
-		rdw.InterInto(tmp)
-		tmp.SeqInto(x.COE, x.RFE)
-		detour.CopyFrom(x.POLoc)
-		detour.InterInto(tmp)
+		rdw = x.POLoc.Inter(x.FRE.Seq(x.RFE))
+		detour = x.POLoc.Inter(x.COE.Seq(x.RFE))
+	}
+	ctrlCfence := x.CtrlCfence[cfence]
+	if ctrlCfence.N() != n {
+		ctrlCfence = rel.New(n)
 	}
 
-	// The seeds of the Fig. 25 equations. ic0 is empty, so its term folds
-	// away below.
-	ii0 := ar.Get(n)
-	ii0.CopyFrom(dp)
-	ii0.UnionInto(rdw)
-	ii0.UnionInto(x.RFI)
-	ci0 := ar.Get(n)
-	if ctrlCfence, ok := x.CtrlCfence[cfence]; ok && ctrlCfence.N() == n {
-		ci0.CopyFrom(ctrlCfence)
-	}
-	ci0.UnionInto(detour)
-	cc0 := ar.Get(n)
-	cc0.CopyFrom(dp)
-	cc0.UnionInto(x.Ctrl)
-	poMM := ar.Get(n)
-	poMM.CopyFrom(x.PO)
-	poMM.RestrictInPlace(x.M, x.M)
-	tmp.SeqInto(x.Addr, poMM)
-	cc0.UnionInto(tmp)
+	ii0 := dp.Union(rdw).Union(x.RFI)
+	ic0 := rel.New(n)
+	ci0 := ctrlCfence.Union(detour)
+	cc0 := dp.Union(x.Ctrl).Union(x.Addr.Seq(x.PO.Restrict(x.M, x.M)))
 	if variant == ppoPower {
-		cc0.UnionInto(x.POLoc)
+		cc0 = cc0.Union(x.POLoc)
 	}
 
-	// Kleene iteration with two register files swapped each round: the
-	// "next" values are rebuilt in place from the current ones, so the
-	// loop allocates nothing regardless of how many rounds it takes.
-	ii := ar.Get(n)
-	ii.CopyFrom(ii0)
-	ic := ar.Get(n) // ic0 = ∅
-	ci := ar.Get(n)
-	ci.CopyFrom(ci0)
-	cc := ar.Get(n)
-	cc.CopyFrom(cc0)
-	nii, nic, nci, ncc := ar.Get(n), ar.Get(n), ar.Get(n), ar.Get(n)
+	ii, ic, ci, cc := ii0, ic0, ci0, cc0
 	for {
-		nii.CopyFrom(ii0)
-		nii.UnionInto(ci)
-		tmp.SeqInto(ic, ci)
-		nii.UnionInto(tmp)
-		tmp.SeqInto(ii, ii)
-		nii.UnionInto(tmp)
-
-		nic.CopyFrom(ii)
-		nic.UnionInto(cc)
-		tmp.SeqInto(ic, cc)
-		nic.UnionInto(tmp)
-		tmp.SeqInto(ii, ic)
-		nic.UnionInto(tmp)
-
-		nci.CopyFrom(ci0)
-		tmp.SeqInto(ci, ii)
-		nci.UnionInto(tmp)
-		tmp.SeqInto(cc, ci)
-		nci.UnionInto(tmp)
-
-		ncc.CopyFrom(cc0)
-		ncc.UnionInto(ci)
-		tmp.SeqInto(ci, ic)
-		ncc.UnionInto(tmp)
-		tmp.SeqInto(cc, cc)
-		ncc.UnionInto(tmp)
-
+		nii := ii0.Union(ci).Union(ic.Seq(ci)).Union(ii.Seq(ii))
+		nic := ic0.Union(ii).Union(cc).Union(ic.Seq(cc)).Union(ii.Seq(ic))
+		nci := ci0.Union(ci.Seq(ii)).Union(cc.Seq(ci))
+		ncc := cc0.Union(ci).Union(ci.Seq(ic)).Union(cc.Seq(cc))
 		if nii.Equal(ii) && nic.Equal(ic) && nci.Equal(ci) && ncc.Equal(cc) {
 			break
 		}
-		ii, nii = nii, ii
-		ic, nic = nic, ic
-		ci, nci = nci, ci
-		cc, ncc = ncc, cc
+		ii, ic, ci, cc = nii, nic, nci, ncc
 	}
-
-	out := ar.Get(n)
-	out.CopyFrom(ii)
-	out.RestrictInPlace(x.R, x.R)
-	tmp.CopyFrom(ic)
-	tmp.RestrictInPlace(x.R, x.W)
-	out.UnionInto(tmp)
-
-	for _, r := range []rel.Rel{dp, tmp, rdw, detour, ii0, ci0, cc0, poMM, ii, ic, ci, cc, nii, nic, nci, ncc} {
-		ar.Put(r)
-	}
-	return out
+	return ii.Restrict(x.R, x.R).Union(ic.Restrict(x.R, x.W))
 }
 
 // propPowerARM computes the propagation order of Fig. 18:
 //
 //	prop-base = (fences ∪ (rfe ; fences)) ; hb*
 //	prop      = (prop-base ∩ WW) ∪ (com* ; prop-base* ; ffence ; hb*)
-//
-// ffence is read-only; the result is arena-owned.
-func propPowerARM(x *events.Execution, ppo, fences, ffence rel.Rel, ar *rel.Arena) rel.Rel {
-	n := x.N()
-	hbStar := ar.Get(n)
-	hbStar.CopyFrom(ppo)
-	hbStar.UnionInto(fences)
-	hbStar.UnionInto(x.RFE)
-	hbStar.PlusInPlace()
-	hbStar.UnionIdentity()
-
-	t := ar.Get(n)
-	t.SeqInto(x.RFE, fences) // rfe ; fences
-	t.UnionInto(fences)      // fences ∪ (rfe ; fences)
-	propBase := ar.Get(n)
-	propBase.SeqInto(t, hbStar)
-
-	comStar := ar.Get(n)
-	comStar.CopyFrom(x.Com)
-	comStar.PlusInPlace()
-	comStar.UnionIdentity()
-	pbStar := ar.Get(n)
-	pbStar.CopyFrom(propBase)
-	pbStar.PlusInPlace()
-	pbStar.UnionIdentity()
-
-	u := ar.Get(n)
-	t.SeqInto(comStar, pbStar)
-	u.SeqInto(t, ffence)
-	t.SeqInto(u, hbStar) // strong
-
-	out := ar.Get(n)
-	out.CopyFrom(propBase)
-	out.RestrictInPlace(x.W, x.W)
-	out.UnionInto(t)
-
-	for _, r := range []rel.Rel{hbStar, t, propBase, comStar, pbStar, u} {
-		ar.Put(r)
-	}
-	return out
+func propPowerARM(x *events.Execution, ppo, fences, ffence rel.Rel) rel.Rel {
+	hbStar := core.HB(x, ppo, fences).Star()
+	propBase := fences.Union(x.RFE.Seq(fences)).Seq(hbStar)
+	strong := x.Com.Star().Seq(propBase.Star()).Seq(ffence).Seq(hbStar)
+	return propBase.Restrict(x.W, x.W).Union(strong)
 }
 
 type powerArch struct {
@@ -407,55 +212,26 @@ func (a powerArch) Name() string {
 	return "Power"
 }
 
-func (a powerArch) PPO(x *events.Execution) rel.Rel { return a.PPOArena(x, nil) }
-
-func (a powerArch) Fences(x *events.Execution) rel.Rel { return a.FencesArena(x, nil) }
-
-func (a powerArch) Prop(x *events.Execution, ppo, fences rel.Rel) rel.Rel {
-	return a.PropArena(x, ppo, fences, nil)
+func (a powerArch) PPO(x *events.Execution) rel.Rel {
+	return ppoFixpoint(x, events.FenceIsync, ppoPower, a.static)
 }
 
-func (a powerArch) PPOArena(x *events.Execution, ar *rel.Arena) rel.Rel {
-	return ppoFixpoint(x, events.FenceIsync, ppoPower, a.static, ar)
+// powerFfence is sync, the Power full fence.
+func powerFfence(x *events.Execution) rel.Rel { return x.Fences(events.FenceSync) }
+
+// powerLwfence is lwsync \ WR, plus eieio restricted to write-write pairs
+// (Sec. 4.7: eieio is a lightweight barrier maintaining only WW pairs).
+func powerLwfence(x *events.Execution) rel.Rel {
+	lw := x.Fences(events.FenceLwsync)
+	return lw.Diff(lw.Restrict(x.W, x.R)).Union(x.Fences(events.FenceEieio).Restrict(x.W, x.W))
 }
 
-// powerFfence writes sync into dst (the Power full fence).
-func powerFfence(dst rel.Rel, x *events.Execution) {
-	copyFence(dst, x, events.FenceSync)
+func (powerArch) Fences(x *events.Execution) rel.Rel {
+	return powerFfence(x).Union(powerLwfence(x))
 }
 
-// powerLwfence writes lwsync \ WR into dst, plus eieio restricted to
-// write-write pairs (Sec. 4.7: eieio is a lightweight barrier maintaining
-// only WW pairs). tmp is scratch of the same universe.
-func powerLwfence(dst, tmp rel.Rel, x *events.Execution) {
-	copyFence(dst, x, events.FenceLwsync)
-	tmp.CopyFrom(dst)
-	tmp.RestrictInPlace(x.W, x.R)
-	dst.DiffInto(tmp)
-	copyFence(tmp, x, events.FenceEieio)
-	tmp.RestrictInPlace(x.W, x.W)
-	dst.UnionInto(tmp)
-}
-
-func (powerArch) FencesArena(x *events.Execution, ar *rel.Arena) rel.Rel {
-	n := x.N()
-	f := ar.Get(n)
-	powerFfence(f, x)
-	lw := ar.Get(n)
-	tmp := ar.Get(n)
-	powerLwfence(lw, tmp, x)
-	f.UnionInto(lw)
-	ar.Put(tmp)
-	ar.Put(lw)
-	return f
-}
-
-func (a powerArch) PropArena(x *events.Execution, ppo, fences rel.Rel, ar *rel.Arena) rel.Rel {
-	ff := ar.Get(x.N())
-	powerFfence(ff, x)
-	out := propPowerARM(x, ppo, fences, ff, ar)
-	ar.Put(ff)
-	return out
+func (powerArch) Prop(x *events.Execution, ppo, fences rel.Rel) rel.Rel {
+	return propPowerARM(x, ppo, fences, powerFfence(x))
 }
 
 type armArch struct {
@@ -466,51 +242,21 @@ type armArch struct {
 
 func (a armArch) Name() string { return a.name }
 
-func (a armArch) PPO(x *events.Execution) rel.Rel { return a.PPOArena(x, nil) }
-
-func (a armArch) Fences(x *events.Execution) rel.Rel { return a.FencesArena(x, nil) }
-
-func (a armArch) Prop(x *events.Execution, ppo, fences rel.Rel) rel.Rel {
-	return a.PropArena(x, ppo, fences, nil)
+func (a armArch) PPO(x *events.Execution) rel.Rel {
+	return ppoFixpoint(x, events.FenceISB, a.ppoVariant, a.static)
 }
 
-func (a armArch) PPOArena(x *events.Execution, ar *rel.Arena) rel.Rel {
-	return ppoFixpoint(x, events.FenceISB, a.ppoVariant, a.static, ar)
+// armFfence is dmb ∪ dsb, plus the .st variants restricted to write-write
+// pairs (Sec. 4.7: .st fences are taken to be their unsuffixed counterparts
+// limited to WW; ARM has no lightweight fence).
+func armFfence(x *events.Execution) rel.Rel {
+	f := x.Fences(events.FenceDMB).Union(x.Fences(events.FenceDSB))
+	st := x.Fences(events.FenceDMBST).Union(x.Fences(events.FenceDSBST))
+	return f.Union(st.Restrict(x.W, x.W))
 }
 
-// armFfence writes dmb ∪ dsb into dst, plus the .st variants restricted to
-// write-write pairs (Sec. 4.7: .st fences are taken to be their unsuffixed
-// counterparts limited to WW; ARM has no lightweight fence). tmp is scratch
-// of the same universe.
-func armFfence(dst, tmp rel.Rel, x *events.Execution) {
-	copyFence(dst, x, events.FenceDMB)
-	if f, ok := x.FenceRel[events.FenceDSB]; ok {
-		dst.UnionInto(f)
-	}
-	copyFence(tmp, x, events.FenceDMBST)
-	if f, ok := x.FenceRel[events.FenceDSBST]; ok {
-		tmp.UnionInto(f)
-	}
-	tmp.RestrictInPlace(x.W, x.W)
-	dst.UnionInto(tmp)
-}
+func (armArch) Fences(x *events.Execution) rel.Rel { return armFfence(x) }
 
-func (armArch) FencesArena(x *events.Execution, ar *rel.Arena) rel.Rel {
-	n := x.N()
-	f := ar.Get(n)
-	tmp := ar.Get(n)
-	armFfence(f, tmp, x)
-	ar.Put(tmp)
-	return f
-}
-
-func (a armArch) PropArena(x *events.Execution, ppo, fences rel.Rel, ar *rel.Arena) rel.Rel {
-	n := x.N()
-	ff := ar.Get(n)
-	tmp := ar.Get(n)
-	armFfence(ff, tmp, x)
-	ar.Put(tmp)
-	out := propPowerARM(x, ppo, fences, ff, ar)
-	ar.Put(ff)
-	return out
+func (armArch) Prop(x *events.Execution, ppo, fences rel.Rel) rel.Rel {
+	return propPowerARM(x, ppo, fences, armFfence(x))
 }

@@ -14,7 +14,6 @@ package rel
 type Arena struct {
 	n    int
 	free []Rel
-	dfs  DFSScratch
 }
 
 // NewArena returns an empty arena. The universe size is fixed by the first
@@ -49,13 +48,4 @@ func (a *Arena) Put(r Rel) {
 		return
 	}
 	a.free = append(a.free, r)
-}
-
-// DFS returns the arena's reusable cycle-DFS scratch (nil for a nil
-// arena, which AcyclicScratch treats as allocate-per-call).
-func (a *Arena) DFS() *DFSScratch {
-	if a == nil {
-		return nil
-	}
-	return &a.dfs
 }

@@ -14,18 +14,15 @@ import (
 	"time"
 
 	"herdcats/internal/core"
-	"herdcats/internal/events"
 	"herdcats/internal/exec"
 	"herdcats/internal/litmus"
 	"herdcats/internal/obs"
 )
 
-// Checker validates one candidate execution. models.Model and cat-compiled
-// models both implement it.
-type Checker interface {
-	Name() string
-	Check(x *events.Execution) core.Result
-}
+// Checker validates one candidate execution: core.Checker, named here for
+// the simulator's callers. models.Model and cat-compiled models both
+// implement it.
+type Checker = core.Checker
 
 // PruneCapable is implemented by checkers that declare a level of early
 // SC-per-location pruning as sound: the checker promises to reject every
@@ -124,10 +121,11 @@ func Simulate(ctx context.Context, req Request) (*Outcome, error) {
 	}
 
 	// Upgrade the checker to a per-search evaluator when it offers one
-	// (compiled cat models, the built-in zoo): the evaluator owns pooled
-	// relation buffers reused across candidates, so the steady-state check
-	// allocates nothing. Search delivers every candidate on this goroutine,
-	// so one evaluator per Simulate is exactly right. Name, pruning and the outcome still come
+	// (compiled cat models; the native models of package models are plain
+	// checkers): the evaluator owns pooled relation buffers reused across
+	// candidates, so the steady-state check allocates nothing. Search
+	// delivers every candidate on this goroutine, so one evaluator per
+	// Simulate is exactly right. Name, pruning and the outcome still come
 	// from the original checker.
 	check := req.Checker.Check
 	if prov, ok := req.Checker.(core.EvaluatorProvider); ok {
