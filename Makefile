@@ -53,13 +53,17 @@ mine-smoke:
 	BENCH_MINE_OUT=$(CURDIR)/BENCH_mine.json $(GO) test -race -run 'TestMineSmoke|TestMinimize|TestMinerEmitsWitness' -count=1 -v -timeout 120s ./internal/mine/
 
 # Short native fuzz runs, about 10s each, of the two decoders every
-# request meets: the NDJSON frame decoder every gateway batch goes through
+# request meets — the NDJSON frame decoder every gateway batch goes through
 # (FuzzDecoder: torn and garbled streams, seeded from
 # internal/wire/testdata/fuzz/FuzzDecoder) and the /v1/run body decoder
-# (FuzzRunRequestDecoder).
+# (FuzzRunRequestDecoder) — and of the gateway hop: herd-gw must answer
+# every /v1/run body with the status of the herdd behind it, and the same
+# bytes for every non-2xx (FuzzGatewayRunMatchesHerdd, seeded from the
+# FuzzRunRequestDecoder corpus in internal/wire/wiretest).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzRunRequestDecoder$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzGatewayRunMatchesHerdd$$' -fuzztime 10s ./internal/fleet/
 
 # The end-to-end benchmark (verdictbench/, declared in BENCHMARK.json) is
 # its own Go module, so `go test ./...` never reaches it. Run its tests,

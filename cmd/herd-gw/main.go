@@ -1,9 +1,10 @@
-// Command herd-gw is the fleet gateway: it fronts N herdd backends,
-// routes each verdict key to its home backend by rendezvous hashing (so
-// repeated queries hit a warm verdict cache), health-checks the fleet,
-// ejects failing backends behind per-backend circuit breakers, fails
-// requests over along each key's deterministic backend ranking, and
-// coalesces duplicate in-flight keys gateway-side.
+// Command herd-gw is the fleet gateway: it fronts N herdd backends and
+// routes bytes, never interpreting a test. A hash of each request as sent
+// picks its home backend by rendezvous hashing (so repeated queries hit a
+// warm verdict cache; herdd's own verdict key stays the authoritative
+// one), health-checks the fleet, ejects failing backends behind
+// per-backend circuit breakers, fails requests over along each key's
+// deterministic backend ranking, and coalesces duplicates gateway-side.
 //
 // Usage:
 //
@@ -17,9 +18,10 @@
 // Both batch formats run one engine: each home backend's rows travel
 // upstream as streamed sub-batches of at most 256 tests, and the rows a
 // backend lost or shed are re-sent one by one along their failover
-// ranking. Batch concurrency is each backend's own (herdd -j). Error
-// envelopes and 429 Retry-After headers pass through from the backends
-// byte-for-byte.
+// ranking. Batch concurrency is each backend's own (herdd -j). A /v1/run
+// body is forwarded unchanged and herdd's answer, envelopes and 429
+// Retry-After included, comes back byte-for-byte. A caller's X-Deadline
+// bounds the gateway's retries and reaches each backend decremented.
 package main
 
 import (

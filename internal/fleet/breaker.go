@@ -1,9 +1,10 @@
 // Package fleet is the resilience layer between campaigns and a herdd
 // fleet: a retrying, hedging HTTP client (Client), a per-backend circuit
 // breaker (Breaker), and a consistent-hashing gateway (Gateway, served by
-// cmd/herd-gw) that routes verdict keys across backends, ejects unhealthy
-// ones, and coalesces duplicate in-flight keys. The fault-injection
-// harness that proves the layer's invariants lives in fleet/faultproxy.
+// cmd/herd-gw) that places requests across backends by a hash of their
+// bytes as sent, ejects unhealthy ones, and coalesces duplicate in-flight
+// requests. The fault-injection harness that proves the layer's
+// invariants lives in fleet/faultproxy.
 package fleet
 
 import (

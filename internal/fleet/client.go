@@ -180,29 +180,38 @@ func (c *Client) Stats() *Stats { return &c.stats }
 // failures per the policy. The returned error, when non-nil, is an
 // *Error carrying the classification.
 func (c *Client) Run(ctx context.Context, req wire.RunRequest) (*wire.RunResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, classify(http.StatusBadRequest, "bad_request", err.Error(), err)
-	}
-	var resp wire.RunResponse
-	if err := c.do(ctx, "/v1/run", body, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call[wire.RunResponse](ctx, c, "/v1/run", req)
 }
 
 // Batch simulates many tests via POST /v1/batch with the same retry
 // discipline.
 func (c *Client) Batch(ctx context.Context, req wire.BatchRequest) (*wire.BatchResponse, error) {
+	return call[wire.BatchResponse](ctx, c, "/v1/batch", req)
+}
+
+// call is the typed face of the one request path: marshal, post the
+// bytes through do (the gateway forwards bytes through it too), decode
+// the 200 body once.
+func call[T any](ctx context.Context, c *Client, path string, req any) (*T, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, classify(http.StatusBadRequest, "bad_request", err.Error(), err)
 	}
-	var resp wire.BatchResponse
-	if err := c.do(ctx, "/v1/batch", body, &resp); err != nil {
+	raw, err := c.do(ctx, path, body)
+	if err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	return decode[T](raw)
+}
+
+// decode decodes a 200 body. One that does not fit T is a transport-class
+// failure, like a garbled one.
+func decode[T any](raw json.RawMessage) (*T, error) {
+	var out T
+	if err := json.Unmarshal(raw, &out); err != nil {
+		return nil, classify(0, "", fmt.Sprintf("decoding response: %v", err), err)
+	}
+	return &out, nil
 }
 
 // Healthz probes GET /healthz once — no retries: the probe loop is the
@@ -223,8 +232,9 @@ func (c *Client) Healthz(ctx context.Context) error {
 	return nil
 }
 
-// do drives one logical request through attempts, hedging and backoff.
-func (c *Client) do(ctx context.Context, path string, body []byte, out any) error {
+// do drives one logical request through attempts, hedging and backoff,
+// returning the 200 body as the backend sent it.
+func (c *Client) do(ctx context.Context, path string, body []byte) (json.RawMessage, error) {
 	var last error
 	for attempt := 0; attempt < c.pol.maxAttempts(); attempt++ {
 		if attempt > 0 {
@@ -234,12 +244,12 @@ func (c *Client) do(ctx context.Context, path string, body []byte, out any) erro
 			case <-timer.C:
 			case <-ctx.Done():
 				timer.Stop()
-				return classify(0, "", ctx.Err().Error(), ctx.Err())
+				return nil, classify(0, "", ctx.Err().Error(), ctx.Err())
 			}
 		}
-		err := c.hedged(ctx, path, body, out)
+		raw, err := c.hedged(ctx, path, body)
 		if err == nil {
-			return nil
+			return raw, nil
 		}
 		last = err
 		if !Retryable(err) || ctx.Err() != nil {
@@ -247,15 +257,15 @@ func (c *Client) do(ctx context.Context, path string, body []byte, out any) erro
 		}
 	}
 	c.stats.Failures.Add(1)
-	return last
+	return nil, last
 }
 
 // hedged runs one attempt, duplicating it after HedgeAfter if it has not
 // answered: the first success wins, a duplicate's failure is ignored
 // unless both fail.
-func (c *Client) hedged(ctx context.Context, path string, body []byte, out any) error {
+func (c *Client) hedged(ctx context.Context, path string, body []byte) (json.RawMessage, error) {
 	if c.pol.HedgeAfter <= 0 {
-		return c.attempt(ctx, path, body, out)
+		return c.attempt(ctx, path, body)
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel() // the loser is abandoned as soon as a winner returns
@@ -265,8 +275,7 @@ func (c *Client) hedged(ctx context.Context, path string, body []byte, out any) 
 	}
 	results := make(chan result, 2)
 	launch := func() {
-		var raw json.RawMessage
-		err := c.attempt(ctx, path, body, &raw)
+		raw, err := c.attempt(ctx, path, body)
 		results <- result{err: err, payload: raw}
 	}
 	go launch()
@@ -285,50 +294,44 @@ func (c *Client) hedged(ctx context.Context, path string, body []byte, out any) 
 		case r := <-results:
 			got++
 			if r.err == nil {
-				if out != nil {
-					return json.Unmarshal(r.payload, out)
-				}
-				return nil
+				return r.payload, nil
 			}
 			if firstErr == nil {
 				firstErr = r.err
 			}
 		}
 	}
-	return firstErr
+	return nil, firstErr
 }
 
 // attempt performs exactly one HTTP exchange, propagating the remaining
 // deadline budget via X-Deadline so the backend can shed what cannot
 // finish in time.
-func (c *Client) attempt(ctx context.Context, path string, body []byte, out any) error {
+func (c *Client) attempt(ctx context.Context, path string, body []byte) (json.RawMessage, error) {
 	c.stats.Attempts.Add(1)
 	actx, cancel := context.WithTimeout(ctx, c.pol.timeout())
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
-		return classify(0, "", err.Error(), err)
+		return nil, classify(0, "", err.Error(), err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	stampHeaders(ctx, req)
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return classify(0, "", err.Error(), err)
+		return nil, classify(0, "", err.Error(), err)
 	}
 	defer drain(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		return classifyResponse(resp)
+		return nil, classifyResponse(resp)
 	}
-	if out == nil {
-		return nil
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxResponseBytes)).Decode(out); err != nil {
+	var raw json.RawMessage
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxResponseBytes)).Decode(&raw); err != nil {
 		// A truncated or garbled body is a transport-class failure: the
 		// backend may answer intact on retry.
-		e := classify(0, "", fmt.Sprintf("decoding response: %v", err), err)
-		return e
+		return nil, classify(0, "", fmt.Sprintf("decoding response: %v", err), err)
 	}
-	return nil
+	return raw, nil
 }
 
 // stampHeaders propagates the hop-by-hop request metadata: the remaining

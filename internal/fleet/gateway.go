@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,8 +12,6 @@ import (
 	"time"
 
 	"herdcats/internal/cat"
-	"herdcats/internal/exec"
-	"herdcats/internal/litmus"
 	"herdcats/internal/memo"
 	"herdcats/internal/obs"
 	"herdcats/internal/wire"
@@ -78,26 +77,28 @@ type gwBackend struct {
 	breaker *Breaker
 }
 
-// gwCall is one in-flight verdict computation; duplicates of its key
-// join it instead of hitting the fleet again.
+// gwCall is one in-flight /v1/run; duplicates of its route key join it
+// instead of hitting the fleet again, and share its answer's bytes.
 type gwCall struct {
 	done chan struct{}
-	resp *wire.RunResponse
+	body json.RawMessage
 	err  error
+	cut  bool // err came from the leader's own context ending
 }
 
-// Gateway routes litmus verdicts across a herdd fleet. Every request's
-// verdict key (the same memo.Key the backends cache under) picks its
-// home backend by rendezvous hashing, so repeated requests for one test
-// land on one backend's warm cache; an unhealthy or ejected home fails
-// over along the key's deterministic backend ranking. Duplicate
-// in-flight keys coalesce gateway-side, and a /healthz probe loop feeds
-// each backend's circuit breaker out-of-band.
+// Gateway routes litmus verdicts across a herdd fleet without ever
+// interpreting a test. Every request's routeKey, a hash of the request as
+// sent, picks its home backend by rendezvous hashing, so repeated
+// requests for one test land on one backend's warm cache; an unhealthy or
+// ejected home fails over along the key's deterministic backend ranking.
+// Duplicate in-flight keys coalesce gateway-side, and a /healthz probe
+// loop feeds each backend's circuit breaker out-of-band. herdd alone
+// parses and keys a test; its verdict key is the authoritative one.
 type Gateway struct {
 	cfg      GatewayConfig
 	backends map[string]*gwBackend
 	names    []string    // sorted, fixed at construction
-	models   *memo.Cache // compiles inline cat sources, content-addressed
+	models   *memo.Cache // compiles a batch's inline cat source, content-addressed
 	mux      *http.ServeMux
 	reg      *obs.Registry
 
@@ -215,69 +216,34 @@ func (g *Gateway) probeLoop(ctx context.Context, b *gwBackend) {
 	}
 }
 
-// modelID resolves a request's model to the identity the backends key
-// verdicts under, answering a bad model as herdd would. A batch resolves
-// it once for all its rows.
-func (g *Gateway) modelID(spec wire.ModelSpec) (string, *Error) {
-	switch {
-	case spec.Name != "":
-		m, err := cat.Builtin(spec.Name)
-		if err != nil {
-			return "", classify(http.StatusNotFound, "not_found", fmt.Sprintf("model: %v", err), err)
+// checkModel answers a bad model as herdd would. Only a batch needs it:
+// a stream must know its model is valid before it commits its 200.
+func (g *Gateway) checkModel(spec wire.ModelSpec) *Error {
+	if spec.Name != "" {
+		if _, err := cat.Builtin(spec.Name); err != nil {
+			return classify(http.StatusNotFound, "not_found", fmt.Sprintf("model: %v", err), err)
 		}
-		return memo.ModelID(m), nil
-	case spec.Cat != "":
-		m, err := g.models.Model(spec.Cat)
-		if err != nil {
-			return "", classify(http.StatusBadRequest, "bad_request", fmt.Sprintf("model: %v", err), err)
-		}
-		return memo.ModelID(m), nil
+	} else if _, err := g.models.Model(spec.Cat); err != nil {
+		return classify(http.StatusBadRequest, "bad_request", fmt.Sprintf("model: %v", err), err)
 	}
-	return "", classify(http.StatusBadRequest, "bad_request", "model: one of name or cat is required", nil)
+	return nil
 }
 
-// verdictKey computes a test's routing key: the same content address the
-// backends cache under, except that the budget is taken as-sent (the
-// gateway cannot know each backend's clamp). Used only for placement and
-// coalescing — the authoritative key comes back in the response.
-func verdictKey(src, modelID string, budget wire.BudgetSpec) (string, *Error) {
-	test, err := litmus.Parse(src)
-	if err != nil {
-		return "", classify(http.StatusBadRequest, "bad_request", fmt.Sprintf("litmus: %v", err), err)
-	}
-	b := exec.Budget{
-		MaxCandidates:      budget.MaxCandidates,
-		MaxTracesPerThread: budget.MaxTracesPerThread,
-	}
-	if budget.TimeoutMS > 0 {
-		b.Timeout = time.Duration(budget.TimeoutMS) * time.Millisecond
-	}
-	return memo.Key(memo.CanonicalTest(test), modelID, b), nil
-}
-
-// Run computes one verdict through the fleet: coalesce on the key, then
-// route along the key's rendezvous ranking with breaker-aware failover.
-func (g *Gateway) Run(ctx context.Context, req wire.RunRequest) (*wire.RunResponse, error) {
-	modelID, merr := g.modelID(req.Model)
-	key, cerr := verdictKey(req.Litmus, modelID, req.Budget)
-	if cerr != nil { // herdd, too, reports a bad test before a bad model
-		return nil, cerr
-	}
-	if merr != nil {
-		return nil, merr
-	}
-	return g.runKey(ctx, key, req)
-}
-
-// runKey is Run with the routing key already computed.
-func (g *Gateway) runKey(ctx context.Context, key string, req wire.RunRequest) (*wire.RunResponse, error) {
+// runKey sends one /v1/run body through the fleet and returns the
+// backend's 200 body: coalesce on the route key, then route.
+func (g *Gateway) runKey(ctx context.Context, key string, body []byte) (json.RawMessage, error) {
 	g.mu.Lock()
 	if call, ok := g.inflight[key]; ok {
 		g.mu.Unlock()
 		g.reg.Counter("gw_coalesced_total").Inc()
 		select {
 		case <-call.done:
-			return call.resp, call.err
+			if call.cut && ctx.Err() == nil {
+				// The leader's caller left or spent its budget; this
+				// caller has not, so it asks again.
+				return g.runKey(ctx, key, body)
+			}
+			return call.body, call.err
 		case <-ctx.Done():
 			return nil, classify(0, "", ctx.Err().Error(), ctx.Err())
 		}
@@ -286,14 +252,14 @@ func (g *Gateway) runKey(ctx context.Context, key string, req wire.RunRequest) (
 	g.inflight[key] = call
 	g.mu.Unlock()
 
-	resp, err := g.route(ctx, key, req)
+	raw, err := g.route(ctx, key, body)
 
 	g.mu.Lock()
 	delete(g.inflight, key)
 	g.mu.Unlock()
-	call.resp, call.err = resp, err
+	call.body, call.err, call.cut = raw, err, err != nil && ctx.Err() != nil
 	close(call.done)
-	return resp, err
+	return raw, err
 }
 
 // route tries the key's backends in rendezvous order: the home backend
@@ -302,94 +268,109 @@ func (g *Gateway) runKey(ctx context.Context, key string, req wire.RunRequest) (
 // refuses, in which case the home backend is tried anyway (failing open
 // beats failing instantly when the whole fleet looks down). Permanent
 // errors return immediately: they are the request's fault and will
-// reproduce on any backend.
-func (g *Gateway) route(ctx context.Context, key string, req wire.RunRequest) (*wire.RunResponse, error) {
+// reproduce on any backend. So does the caller's context ending, which
+// is no backend's fault.
+func (g *Gateway) route(ctx context.Context, key string, body []byte) (json.RawMessage, error) {
 	ranked := rendezvous(key, g.names)
 	var last error
 	tried := 0
-	for _, name := range ranked {
+	// i == len(ranked) is the fail-open step, taken only if nothing was tried.
+	for i := 0; i < len(ranked) || (i == len(ranked) && tried == 0); i++ {
+		name := ranked[i%len(ranked)]
 		b := g.backends[name]
-		if !b.breaker.Allow() {
+		if i < len(ranked) && !b.breaker.Allow() {
 			continue
 		}
-		if tried > 0 {
+		if tried++; tried > 1 {
 			g.reg.Counter("gw_reroutes_total").Inc()
 		}
-		tried++
 		g.reg.Counter(`gw_backend_requests_total{backend="` + name + `"}`).Inc()
-		resp, err := b.client.Run(ctx, req)
-		if err == nil {
+		raw, err := b.client.do(ctx, "/v1/run", body)
+		switch {
+		case err == nil:
 			b.breaker.Success()
-			return resp, nil
-		}
-		if !Retryable(err) {
+			return raw, nil
+		case !Retryable(err) || ctx.Err() != nil:
 			return nil, err
 		}
 		b.breaker.Failure()
 		g.reg.Counter(`gw_backend_failures_total{backend="` + name + `"}`).Inc()
 		last = err
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	if tried == 0 && ctx.Err() == nil {
-		// Every breaker refused: fail open through the home backend.
-		name := ranked[0]
-		g.reg.Counter(`gw_backend_requests_total{backend="` + name + `"}`).Inc()
-		resp, err := g.backends[name].client.Run(ctx, req)
-		if err == nil {
-			g.backends[name].breaker.Success()
-			return resp, nil
-		}
-		if !Retryable(err) {
-			return nil, err
-		}
-		g.reg.Counter(`gw_backend_failures_total{backend="` + name + `"}`).Inc()
-		last = err
-	}
-	if last == nil {
-		last = classify(http.StatusServiceUnavailable, "unavailable", "no backend available", nil)
 	}
 	return nil, last
 }
 
+// handleRun validates the body as herdd would, forwards it unchanged and
+// writes the backend's 200 body back verbatim.
 func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req wire.RunRequest
-	if !wire.ReadRequest(w, r, g.cfg.maxRequestBytes(), &req) {
+	body, ok := wire.ReadRequest(w, r, g.cfg.maxRequestBytes(), &req)
+	if !ok {
 		return
 	}
-	resp, err := g.Run(hopContext(r), req)
+	ctx, cancel, ok := hopContext(w, r, req.DeadlineMS)
+	if !ok {
+		return
+	}
+	defer cancel()
+	raw, err := g.runKey(ctx, routeKey(req.Litmus, req.Model, req.Budget), body)
+	if err != nil && errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		err = classify(http.StatusGatewayTimeout, "deadline_exceeded", wire.ErrDeadlineExpired.Error(), err)
+	}
 	if err != nil {
 		writeGatewayError(w, err)
 		return
 	}
-	writeGatewayJSON(w, resp)
+	// raw ends where herdd's document did, before its newline; coalesced
+	// callers share it, so it is never appended to.
+	w.Header().Set("Content-Type", wire.ContentTypeJSON)
+	_, _ = w.Write(raw)
+	_, _ = w.Write([]byte{'\n'})
 }
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req wire.BatchRequest
-	if !wire.ReadRequest(w, r, g.cfg.maxRequestBytes(), &req) {
+	if _, ok := wire.ReadRequest(w, r, g.cfg.maxRequestBytes(), &req); !ok {
 		return
 	}
-	modelID, cerr := g.modelID(req.Model)
-	if cerr != nil {
+	ctx, cancel, ok := hopContext(w, r, req.DeadlineMS)
+	if !ok {
+		return
+	}
+	defer cancel()
+	if cerr := g.checkModel(req.Model); cerr != nil {
 		writeGatewayError(w, cerr)
 		return
 	}
-	ctx := hopContext(r)
 	if wire.WantsStream(r) {
-		g.streamBatch(ctx, w, req, modelID)
+		g.streamBatch(ctx, w, req)
 		return
 	}
-	writeGatewayJSON(w, g.runBatch(ctx, req, modelID, nil).response())
+	wire.WriteJSON(w, http.StatusOK, g.runBatch(ctx, req, nil).response())
 }
 
 // hopContext threads the per-hop request metadata into the context the
-// backend clients stamp back onto their upstream requests — today the
-// caller's tenant identity, so the backends' quotas see the edge tenant,
-// not the gateway.
-func hopContext(r *http.Request) context.Context {
-	return wire.WithTenant(r.Context(), r.Header.Get(wire.TenantHeader))
+// backend clients stamp back onto their upstream requests: the caller's
+// tenant, so the backends' quotas see the edge tenant, not the gateway,
+// and its deadline budget, which also bounds the gateway's own retries
+// and failover. A malformed budget gets herdd's 400 and a spent one 504;
+// either way hopContext has answered and reports false.
+func hopContext(w http.ResponseWriter, r *http.Request, bodyMS int64) (context.Context, context.CancelFunc, bool) {
+	budget, err := wire.DeadlineBudget(r, bodyMS)
+	switch {
+	case errors.Is(err, wire.ErrDeadlineExpired):
+		wire.WriteError(w, http.StatusGatewayTimeout, "%v", err)
+		return nil, nil, false
+	case err != nil:
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
+		return nil, nil, false
+	}
+	ctx := wire.WithTenant(r.Context(), r.Header.Get(wire.TenantHeader))
+	if budget <= 0 {
+		return ctx, func() {}, true
+	}
+	ctx, cancel := context.WithTimeout(ctx, budget)
+	return ctx, cancel, true
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -416,35 +397,31 @@ func (g *Gateway) handleBackends(w http.ResponseWriter, r *http.Request) {
 			Breaker: g.backends[name].breaker.State().String(),
 		})
 	}
-	writeGatewayJSON(w, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
-func writeGatewayJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// writeGatewayError renders an error in herdd's exact envelope —
-// {"error":{code,message}} — preserving an upstream status/code when the
-// error carries one and mapping transport failures to 502 bad_gateway. A
-// shed backend's Retry-After travels through verbatim: the backend knows
-// its own drain rate, and the gateway inventing a different hint would
-// desynchronise the caller's backoff from the fleet's actual headroom.
+// writeGatewayError renders an error in herdd's exact envelope (see
+// errorBodyOf). A shed backend's Retry-After travels through verbatim:
+// the backend knows its own drain rate, and the gateway inventing a
+// different hint would desynchronise the caller's backoff from the
+// fleet's actual headroom.
 func writeGatewayError(w http.ResponseWriter, err error) {
-	status, code, msg := http.StatusBadGateway, "bad_gateway", err.Error()
 	var e *Error
-	if errors.As(err, &e) && e.Status != 0 {
-		status, msg = e.Status, e.Msg
-		if e.Code != "" {
-			code = e.Code
-		} else {
-			code = "bad_gateway"
-		}
-		if e.RetryAfter != "" {
-			w.Header().Set(wire.RetryAfterHeader, e.RetryAfter)
-		}
+	if errors.As(err, &e) && e.RetryAfter != "" {
+		w.Header().Set(wire.RetryAfterHeader, e.RetryAfter)
 	}
-	wire.WriteEnvelope(w, status, wire.ErrorBody{Code: code, Message: msg})
+	status, body := errorBodyOf(err)
+	wire.WriteEnvelope(w, status, body)
+}
+
+// errorBodyOf projects a fleet error onto a status and envelope body,
+// for a whole response or a batch row alike: an upstream status and
+// message pass through, with the upstream code or else the status's own;
+// a transport failure is 502 bad_gateway.
+func errorBodyOf(err error) (int, wire.ErrorBody) {
+	var e *Error
+	if !errors.As(err, &e) || e.Status == 0 {
+		return http.StatusBadGateway, wire.ErrorBody{Code: "bad_gateway", Message: err.Error()}
+	}
+	return e.Status, wire.ErrorBody{Code: cmp.Or(e.Code, wire.ErrorCode(e.Status)), Message: e.Msg}
 }

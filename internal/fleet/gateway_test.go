@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -39,21 +38,37 @@ func sbVariant(i int) string {
 	return strings.Replace(sbSrc, "X86 sb", fmt.Sprintf("X86 sb%04d", i), 1)
 }
 
-// TestGatewayRoutesAndCaches: repeated runs of one test land on one
-// backend (key affinity), so exactly one backend simulates and the
-// repeat is a cache hit there.
+// gwRun posts one /v1/run through the gateway's handler and decodes a
+// 200 answer.
+func gwRun(t *testing.T, gw *Gateway, req serve.RunRequest) (*serve.RunResponse, error) {
+	t.Helper()
+	body, _ := json.Marshal(req)
+	rec := postRun(gw.Handler(), body, nil)
+	if rec.Code != http.StatusOK {
+		return nil, fmt.Errorf("status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	var resp serve.RunResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		return nil, err
+	}
+	return &resp, nil
+}
+
+// TestGatewayKeyAffinity: repeated runs of one test land on one backend
+// (route-key affinity), so exactly one backend simulates and the repeat
+// is a cache hit there.
 func TestGatewayKeyAffinity(t *testing.T) {
 	gw, servers := newFleet(t, 3, GatewayConfig{ProbeInterval: time.Hour})
 	req := serve.RunRequest{Litmus: sbSrc, Model: serve.ModelSpec{Name: "tso"}}
 
-	first, err := gw.Run(context.Background(), req)
+	first, err := gwRun(t, gw, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Verdict != "Allowed" || first.Cached {
 		t.Fatalf("first run: verdict %q cached %v, want a fresh Allowed", first.Verdict, first.Cached)
 	}
-	second, err := gw.Run(context.Background(), req)
+	second, err := gwRun(t, gw, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,21 +113,13 @@ func TestGatewayFailover(t *testing.T) {
 	hss[0].Close()
 	deadName := strings.TrimRight(urls[0], "/")
 
-	tsoID, cerr := gw.modelID(serve.ModelSpec{Name: "tso"})
-	if cerr != nil {
-		t.Fatal(cerr)
-	}
 	routedToDead := false
 	for i := 0; i < 16; i++ {
 		req := serve.RunRequest{Litmus: sbVariant(i), Model: serve.ModelSpec{Name: "tso"}}
-		key, cerr := verdictKey(req.Litmus, tsoID, req.Budget)
-		if cerr != nil {
-			t.Fatal(cerr)
-		}
-		if rendezvous(key, gw.names)[0] == deadName {
+		if rendezvous(routeKey(req.Litmus, req.Model, req.Budget), gw.names)[0] == deadName {
 			routedToDead = true
 		}
-		resp, err := gw.Run(context.Background(), req)
+		resp, err := gwRun(t, gw, req)
 		if err != nil {
 			t.Fatalf("run %d with one dead backend: %v", i, err)
 		}
@@ -153,7 +160,7 @@ func TestGatewayCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = gw.Run(context.Background(), req)
+			_, errs[i] = gwRun(t, gw, req)
 		}(i)
 	}
 	wg.Wait()

@@ -2,7 +2,7 @@ package fleet
 
 import (
 	"context"
-	"errors"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -18,7 +18,7 @@ import (
 // the caller's request indices, in request order when req.Ordered),
 // heartbeats while the merged stream is idle, and one terminal summary
 // folding the upstream summaries' trace aggregates.
-func (g *Gateway) streamBatch(ctx context.Context, w http.ResponseWriter, req wire.BatchRequest, modelID string) {
+func (g *Gateway) streamBatch(ctx context.Context, w http.ResponseWriter, req wire.BatchRequest) {
 	start := time.Now()
 	w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
 	w.Header().Set("X-Content-Type-Options", "nosniff")
@@ -26,7 +26,7 @@ func (g *Gateway) streamBatch(ctx context.Context, w http.ResponseWriter, req wi
 	enc := wire.NewEncoder(w)
 	stopHeartbeat := wire.Heartbeat(ctx, enc, g.cfg.heartbeatInterval(), start)
 	defer stopHeartbeat()
-	st := g.runBatch(ctx, req, modelID, wire.NewMerge(enc, req.Ordered))
+	st := g.runBatch(ctx, req, wire.NewMerge(enc, req.Ordered))
 	stopHeartbeat()
 
 	sum := wire.NewSummary(len(req.Tests))
@@ -43,14 +43,15 @@ func (g *Gateway) streamBatch(ctx context.Context, w http.ResponseWriter, req wi
 }
 
 // runBatch is the gateway's one batch engine, behind both /v1/batch wire
-// formats. It routes every row to its home backend, sends each home's
-// rows upstream as NDJSON streams of at most wire.MaxBatchTests rows
-// (herdd's batch limit), then re-sends, one Run per row along the key's
-// failover ranking, every row the upstream did not deliver or shed with a
-// retryable code — so a lost or overloaded backend costs latency, not
-// verdicts. Each row's single frame goes to merge as it lands or, when
-// merge is nil (the buffered format), is kept for response.
-func (g *Gateway) runBatch(ctx context.Context, req wire.BatchRequest, modelID string, merge *wire.Merge) *gwBatch {
+// formats. It routes every row to its home backend by the same routeKey
+// as /v1/run, sends each home's rows upstream as NDJSON streams of at
+// most wire.MaxBatchTests rows (herdd's batch limit), then re-sends, one
+// /v1/run per row along the key's failover ranking, every row the
+// upstream did not deliver or shed with a retryable code — so a lost or
+// overloaded backend costs latency, not verdicts. Each row's single
+// frame goes to merge as it lands or, when merge is nil (the buffered
+// format), is kept for response.
+func (g *Gateway) runBatch(ctx context.Context, req wire.BatchRequest, merge *wire.Merge) *gwBatch {
 	n := len(req.Tests)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -65,18 +66,13 @@ func (g *Gateway) runBatch(ctx context.Context, req wire.BatchRequest, modelID s
 		st.frames = make([]any, n)
 	}
 
-	// A test that does not parse costs only its row; every other row
-	// joins its home backend's group.
+	// Every row joins its home backend's group. A test that does not
+	// parse travels too, and herdd answers it with its own error/v1 row.
 	keys := make([]string, n)
 	groups := map[string][]int{}
 	for i, src := range req.Tests {
-		key, cerr := verdictKey(src, modelID, req.Budget)
-		if cerr != nil {
-			st.emitFleetError(i, cerr)
-			continue
-		}
-		keys[i] = key
-		home := g.homeBackend(key)
+		keys[i] = routeKey(src, req.Model, req.Budget)
+		home := g.homeBackend(keys[i])
 		groups[home] = append(groups[home], i)
 	}
 
@@ -121,15 +117,23 @@ func (g *Gateway) homeBackend(key string) string {
 	return ranked[0]
 }
 
-// rowRunRequest projects one batch row onto the single-run wire shape
-// the re-send works in.
-func rowRunRequest(req wire.BatchRequest, i int) wire.RunRequest {
-	return wire.RunRequest{
+// resend posts batch row i alone as a /v1/run through runKey, along the
+// row's own failover ranking.
+func (g *Gateway) resend(ctx context.Context, key string, req wire.BatchRequest, i int) (*wire.RunResponse, error) {
+	body, err := json.Marshal(wire.RunRequest{
 		Litmus:     req.Tests[i],
 		Model:      req.Model,
 		Budget:     req.Budget,
 		DeadlineMS: req.DeadlineMS,
+	})
+	if err != nil {
+		return nil, err
 	}
+	raw, err := g.runKey(ctx, key, body)
+	if err != nil {
+		return nil, err
+	}
+	return decode[wire.RunResponse](raw)
 }
 
 // gwBatch is the per-row state of one batch run by the engine. The
@@ -197,13 +201,6 @@ func (s *gwBatch) emitErrorBody(i int, body wire.ErrorBody) {
 	})
 }
 
-// emitFleetError renders a routing or fallback failure as the row's
-// error frame, carrying the upstream envelope code when the error has
-// one.
-func (s *gwBatch) emitFleetError(i int, err error) {
-	s.emitErrorBody(i, errorBodyOf(err))
-}
-
 // foldSummary accumulates one upstream summary's trace aggregates.
 func (s *gwBatch) foldSummary(f *wire.SummaryFrame) {
 	s.mu.Lock()
@@ -225,7 +222,7 @@ func (s *gwBatch) foldSummary(f *wire.SummaryFrame) {
 // streamChunk sends rows — at most wire.MaxBatchTests of one home
 // backend's — upstream as a single stream, remapping its chunk-local
 // frame indices onto the caller's, then re-sends every row the stream
-// left unanswered through runKey, which routes along the row's own
+// left unanswered through resend, which routes along the row's own
 // failover ranking: the rows of a dead home land elsewhere, and a row the
 // home shed is retried with backoff.
 func (g *Gateway) streamChunk(ctx context.Context, backend string, rows []int, keys []string, req wire.BatchRequest, st *gwBatch) {
@@ -286,9 +283,10 @@ func (g *Gateway) streamChunk(ctx context.Context, backend string, rows []int, k
 			return // runBatch's post-sweep owes these their frame
 		}
 		g.reg.Counter("gw_reroutes_total").Inc()
-		resp, rerr := g.runKey(ctx, keys[i], rowRunRequest(req, i))
+		resp, rerr := g.resend(ctx, keys[i], req, i)
 		if rerr != nil {
-			st.emitFleetError(i, rerr)
+			_, body := errorBodyOf(rerr)
+			st.emitErrorBody(i, body)
 			continue
 		}
 		st.emitResult(i, resp.Key, resp.Cached, jobResultFromRun(resp))
@@ -334,21 +332,4 @@ func jobResultFromRun(resp *wire.RunResponse) campaign.JobResult {
 		res.Reason = resp.Outcome.Reason
 	}
 	return res
-}
-
-// errorBodyOf projects a fleet error onto the wire envelope body,
-// defaulting to bad_gateway for transport-class failures.
-func errorBodyOf(err error) wire.ErrorBody {
-	body := wire.ErrorBody{Code: "bad_gateway", Message: err.Error()}
-	var e *Error
-	if errors.As(err, &e) {
-		body.Message = e.Msg
-		switch {
-		case e.Code != "":
-			body.Code = e.Code
-		case e.Status != 0:
-			body.Code = wire.ErrorCode(e.Status)
-		}
-	}
-	return body
 }

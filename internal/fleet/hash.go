@@ -1,9 +1,30 @@
 package fleet
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"hash/fnv"
 	"sort"
+
+	"herdcats/internal/wire"
 )
+
+// routeKey is a request's placement and coalescing key: a SHA-256 over
+// the litmus text, the model spec and the budget exactly as sent. It is
+// SHA-256, not a 64-bit hash, because coalescing trusts it: a collision
+// would hand one request another's verdict.
+func routeKey(litmus string, model wire.ModelSpec, b wire.BudgetSpec) string {
+	buf := make([]byte, 0, len(litmus)+len(model.Name)+len(model.Cat)+6*binary.MaxVarintLen64)
+	for _, field := range []string{litmus, model.Name, model.Cat} {
+		buf = binary.AppendUvarint(buf, uint64(len(field)))
+		buf = append(buf, field...)
+	}
+	for _, bound := range []int64{int64(b.MaxCandidates), int64(b.MaxTracesPerThread), b.TimeoutMS} {
+		buf = binary.AppendVarint(buf, bound)
+	}
+	sum := sha256.Sum256(buf)
+	return string(sum[:])
+}
 
 // rendezvous ranks backend names for a key by highest-random-weight
 // (rendezvous) hashing: every (key, backend) pair gets an independent

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"herdcats/internal/obs"
+	"herdcats/internal/wire"
 )
 
 // Admission-control defaults (Config documents the knobs).
@@ -87,7 +88,7 @@ func (e *overloadError) retryAfterSeconds() int {
 // "overloaded" error envelope the ops guide documents.
 func writeOverloaded(w http.ResponseWriter, err *overloadError) {
 	w.Header().Set("Retry-After", strconv.Itoa(err.retryAfterSeconds()))
-	writeError(w, http.StatusTooManyRequests, "%v", err)
+	wire.WriteError(w, http.StatusTooManyRequests, "%v", err)
 }
 
 // admission is the server's load regulator: a fixed pool of concurrency

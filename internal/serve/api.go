@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"herdcats/internal/campaign"
@@ -49,38 +48,6 @@ type (
 // DeadlineHeader carries a request's remaining deadline budget in
 // milliseconds (see wire.DeadlineHeader).
 const DeadlineHeader = wire.DeadlineHeader
-
-// errDeadlineExpired: the request arrived with its deadline budget
-// already spent.
-var errDeadlineExpired = errors.New("deadline: no budget remaining")
-
-// deadlineBudget resolves a request's deadline budget from the
-// X-Deadline header and the body's deadline_ms field (tighter wins;
-// 0 = unbounded).
-func deadlineBudget(r *http.Request, bodyMS int64) (time.Duration, error) {
-	ms := bodyMS
-	if h := r.Header.Get(DeadlineHeader); h != "" {
-		v, err := strconv.ParseInt(h, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("%s: %q is not a millisecond count", DeadlineHeader, h)
-		}
-		if v <= 0 {
-			return 0, errDeadlineExpired
-		}
-		if ms == 0 || v < ms {
-			ms = v
-		}
-	}
-	return time.Duration(ms) * time.Millisecond, nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	wire.WriteJSON(w, status, v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	wire.WriteError(w, status, format, args...)
-}
 
 // resolveModel turns a ModelSpec into a checker: built-ins come from the
 // embedded catalogue, inline sources from the content-addressed model
@@ -146,16 +113,16 @@ func verdict(out *sim.Outcome) string {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if !wire.ReadRequest(w, r, s.cfg.maxRequestBytes(), &req) {
+	if _, ok := wire.ReadRequest(w, r, s.cfg.maxRequestBytes(), &req); !ok {
 		return
 	}
-	deadline, derr := deadlineBudget(r, req.DeadlineMS)
+	deadline, derr := wire.DeadlineBudget(r, req.DeadlineMS)
 	if derr != nil {
-		if errors.Is(derr, errDeadlineExpired) {
+		if errors.Is(derr, wire.ErrDeadlineExpired) {
 			writeOverloaded(w, s.adm.expired())
 			return
 		}
-		writeError(w, http.StatusBadRequest, "%v", derr)
+		wire.WriteError(w, http.StatusBadRequest, "%v", derr)
 		return
 	}
 	tenant := r.Header.Get(wire.TenantHeader)
@@ -164,12 +131,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	test, err := litmus.Parse(req.Litmus)
 	stopParse()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "litmus: %v", err)
+		wire.WriteError(w, http.StatusBadRequest, "litmus: %v", err)
 		return
 	}
 	checker, status, err := s.resolveModel(req.Model)
 	if err != nil {
-		writeError(w, status, "model: %v", err)
+		wire.WriteError(w, status, "model: %v", err)
 		return
 	}
 	b := s.budget(req.Budget)
@@ -181,7 +148,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// answers warm traffic at full speed — only work that needs CPU
 	// queues or pays quota for it.
 	if out, ok := s.cache.Lookup(memo.Request{Key: key, Test: test, Model: checker, Budget: b}); ok {
-		writeJSON(w, http.StatusOK, RunResponse{
+		wire.WriteJSON(w, http.StatusOK, RunResponse{
 			Key:       key,
 			Cached:    true,
 			Verdict:   verdict(out),
@@ -211,10 +178,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// The inputs parsed but could not be simulated (e.g. an
 		// instruction the enumerator rejects): the client's data is at
 		// fault, not the service.
-		writeError(w, http.StatusUnprocessableEntity, "simulate: %v", err)
+		wire.WriteError(w, http.StatusUnprocessableEntity, "simulate: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, RunResponse{
+	wire.WriteJSON(w, http.StatusOK, RunResponse{
 		Key:       key,
 		Cached:    cached,
 		Verdict:   verdict(out),
@@ -311,26 +278,26 @@ func (s *Server) buildBatch(req *BatchRequest, checker sim.Checker, b exec.Budge
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !wire.ReadRequest(w, r, s.cfg.maxRequestBytes(), &req) {
+	if _, ok := wire.ReadRequest(w, r, s.cfg.maxRequestBytes(), &req); !ok {
 		return
 	}
 	if len(req.Tests) > wire.MaxBatchTests {
-		writeError(w, http.StatusRequestEntityTooLarge,
+		wire.WriteError(w, http.StatusRequestEntityTooLarge,
 			"tests: %d exceeds the batch limit of %d", len(req.Tests), wire.MaxBatchTests)
 		return
 	}
-	deadline, derr := deadlineBudget(r, req.DeadlineMS)
+	deadline, derr := wire.DeadlineBudget(r, req.DeadlineMS)
 	if derr != nil {
-		if errors.Is(derr, errDeadlineExpired) {
+		if errors.Is(derr, wire.ErrDeadlineExpired) {
 			writeOverloaded(w, s.adm.expired())
 			return
 		}
-		writeError(w, http.StatusBadRequest, "%v", derr)
+		wire.WriteError(w, http.StatusBadRequest, "%v", derr)
 		return
 	}
 	checker, status, err := s.resolveModel(req.Model)
 	if err != nil {
-		writeError(w, status, "model: %v", err)
+		wire.WriteError(w, status, "model: %v", err)
 		return
 	}
 	b := s.budget(req.Budget)
@@ -354,7 +321,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Budget:  b,
 		Retries: -1, // the client's budget is a hard bound, and keys must match
 	}, p.jobs)
-	writeJSON(w, http.StatusOK, BatchResponse{
+	wire.WriteJSON(w, http.StatusOK, BatchResponse{
 		Report: rep, Cached: p.cached, Keys: p.keys,
 		Options: s.effectiveOptions(b),
 	})
@@ -366,12 +333,12 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	for _, n := range names {
 		m, err := cat.Builtin(n)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "model %s: %v", n, err)
+			wire.WriteError(w, http.StatusInternalServerError, "model %s: %v", n, err)
 			return
 		}
 		infos = append(infos, ModelInfo{Name: n, Fingerprint: m.Fingerprint()})
 	}
-	writeJSON(w, http.StatusOK, infos)
+	wire.WriteJSON(w, http.StatusOK, infos)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

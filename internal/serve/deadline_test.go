@@ -126,36 +126,6 @@ func TestDeadlineHeader(t *testing.T) {
 	checkShed(t, brec, bbody)
 }
 
-// TestDeadlineBudgetResolution pins the tighter-wins rule.
-func TestDeadlineBudgetResolution(t *testing.T) {
-	mk := func(header string) *http.Request {
-		r := httptest.NewRequest(http.MethodPost, "/v1/run", nil)
-		if header != "" {
-			r.Header.Set(DeadlineHeader, header)
-		}
-		return r
-	}
-	for _, tc := range []struct {
-		header string
-		bodyMS int64
-		want   time.Duration
-	}{
-		{"", 0, 0},
-		{"", 250, 250 * time.Millisecond},
-		{"100", 250, 100 * time.Millisecond}, // header tighter
-		{"250", 100, 100 * time.Millisecond}, // body tighter
-		{"100", 0, 100 * time.Millisecond},   // header alone
-	} {
-		got, err := deadlineBudget(mk(tc.header), tc.bodyMS)
-		if err != nil || got != tc.want {
-			t.Errorf("deadlineBudget(header=%q, body=%d) = %v, %v; want %v", tc.header, tc.bodyMS, got, err, tc.want)
-		}
-	}
-	if _, err := deadlineBudget(mk("-5"), 0); err == nil {
-		t.Error("negative X-Deadline did not error")
-	}
-}
-
 // TestDeadlineCancelsSimulation: a tiny deadline budget on a heavyweight
 // run ends it promptly with an Unknown (incomplete) verdict rather than
 // holding a slot for the full simulation.

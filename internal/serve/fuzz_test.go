@@ -2,37 +2,15 @@ package serve
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"testing/quick"
 	"time"
-)
 
-// seedRequests is the fuzz seed corpus: valid requests, near-valid
-// requests, and the malformed shapes clients actually send.
-var seedRequests = []string{
-	fmt.Sprintf(`{"litmus":%q,"model":{"name":"tso"}}`, sbSrc),
-	fmt.Sprintf(`{"litmus":%q,"model":{"name":"power"},"budget":{"max_candidates":10,"timeout_ms":50}}`, sbSrc),
-	fmt.Sprintf(`{"litmus":%q,"model":{"cat":"m\nacyclic po as c"}}`, sbSrc),
-	`{}`,
-	`{"litmus":""}`,
-	`{"litmus":"x","model":{}}`,
-	`{"litmus":"x","model":{"name":"tso","cat":"y"}}`,
-	`{"litmus":"x","model":{"name":"tso"},"budget":{"max_candidates":-1}}`,
-	`{"litmus":"x","model":{"name":"tso"},"budget":{"timeout_ms":99999999999999999999}}`,
-	`{"litmus":123,"model":{"name":"tso"}}`,
-	`{"litmus":"x","model":"tso"}`,
-	`[1,2,3]`,
-	`null`,
-	`"just a string"`,
-	`{"litmus":"x","model":{"name":"tso"}} trailing`,
-	`{"litmus":"x","model":{"name":"tso"`,
-	"\x00\xff\xfe",
-	``,
-}
+	"herdcats/internal/wire/wiretest"
+)
 
 // fuzzServer builds a server with tight limits so fuzz inputs that happen
 // to be simulable stay cheap.
@@ -61,7 +39,7 @@ func post(h http.Handler, body []byte) (status int, panicked bool) {
 // body — valid, malformed, or hostile — with a status, never a panic, and
 // never blame the server (5xx) for client data.
 func FuzzRunRequestDecoder(f *testing.F) {
-	for _, s := range seedRequests {
+	for _, s := range wiretest.RunRequests {
 		f.Add([]byte(s))
 	}
 	s := fuzzServer()
@@ -93,7 +71,7 @@ func TestRunDecoderNeverPanics(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(17))
-	for _, base := range seedRequests {
+	for _, base := range wiretest.RunRequests {
 		if base == "" {
 			continue
 		}

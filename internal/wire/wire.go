@@ -9,7 +9,7 @@
 //
 // # Buffered wire format
 //
-// POST /v1/run and POST /v1/batch answer with one indented JSON document
+// POST /v1/run and POST /v1/batch answer with one compact JSON document
 // (RunResponse, BatchResponse). Every non-2xx response is the envelope
 // {"error":{"code","message"}} (ErrorBody); clients switch on the code.
 //
@@ -36,13 +36,16 @@
 package wire
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
+	"time"
 )
 
 // ContentTypeNDJSON selects (in Accept) and labels (in Content-Type) the
@@ -58,6 +61,30 @@ const ContentTypeJSON = "application/json"
 // the whole call tree; a request arriving with no budget left is shed
 // before any work happens.
 const DeadlineHeader = "X-Deadline"
+
+// ErrDeadlineExpired: the request arrived with its deadline budget
+// already spent.
+var ErrDeadlineExpired = errors.New("deadline: no budget remaining")
+
+// DeadlineBudget resolves a request's deadline budget from the
+// X-Deadline header and the body's deadline_ms field (tighter wins;
+// 0 = unbounded), alike at herdd and the gateway.
+func DeadlineBudget(r *http.Request, bodyMS int64) (time.Duration, error) {
+	ms := bodyMS
+	if h := r.Header.Get(DeadlineHeader); h != "" {
+		v, err := strconv.ParseInt(h, 10, 64)
+		if err != nil {
+			return 0, fmt.Errorf("%s: %q is not a millisecond count", DeadlineHeader, h)
+		}
+		if v <= 0 {
+			return 0, ErrDeadlineExpired
+		}
+		if ms == 0 || v < ms {
+			ms = v
+		}
+	}
+	return time.Duration(ms) * time.Millisecond, nil
+}
 
 // TenantHeader names the quota account a request is charged to. Nodes
 // meter admission per tenant (token bucket, see serve.Config.TenantRate);
@@ -129,14 +156,12 @@ func ErrorCode(status int) string {
 	return "error"
 }
 
-// WriteJSON writes v as one indented JSON document — the buffered wire
-// format shared by every /v1 endpoint.
+// WriteJSON writes v as one compact JSON document and a newline — the
+// buffered wire format shared by every /v1 endpoint.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", ContentTypeJSON)
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // WriteError writes the error envelope with the code derived from the
@@ -186,7 +211,7 @@ func DecodeBody(r io.Reader, v any) error {
 	return nil
 }
 
-// decodeStatus maps a DecodeBody error to its HTTP status: 413 when the
+// decodeStatus maps a ReadRequest error to its HTTP status: 413 when the
 // body limit tripped, 400 otherwise.
 func decodeStatus(err error) int {
 	var mbe *http.MaxBytesError
@@ -199,16 +224,19 @@ func decodeStatus(err error) int {
 // ReadRequest decodes and validates the body of a /v1 request the way
 // every tier does, so herdd and the gateway answer a bad request alike:
 // more than limit bytes is 413, anything but exactly one JSON value is
-// 400, and so is a value failing v.Validate. On failure it writes the
-// error envelope and returns false.
-func ReadRequest(w http.ResponseWriter, r *http.Request, limit int64, v interface{ Validate() error }) bool {
-	if err := DecodeBody(http.MaxBytesReader(w, r.Body, limit), v); err != nil {
+// 400, and so is a value failing v.Validate. It returns the body as read,
+// for the gateway to forward; on failure it writes the error envelope
+// and returns false.
+func ReadRequest(w http.ResponseWriter, r *http.Request, limit int64, v interface{ Validate() error }) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		err = fmt.Errorf("body: %w", err)
+	} else if err = DecodeBody(bytes.NewReader(body), v); err == nil {
+		err = v.Validate()
+	}
+	if err != nil {
 		WriteError(w, decodeStatus(err), "%v", err)
-		return false
+		return nil, false
 	}
-	if err := v.Validate(); err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return false
-	}
-	return true
+	return body, true
 }

@@ -3,10 +3,12 @@ package wire
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestWantsStream pins the Accept negotiation: any member naming the
@@ -39,7 +41,7 @@ func TestWantsStream(t *testing.T) {
 }
 
 // TestErrorEnvelopeShape pins the envelope bytes every layer speaks:
-// {"error":{"code","message"}}, indented like the buffered documents.
+// {"error":{"code","message"}}, compact like the buffered documents.
 func TestErrorEnvelopeShape(t *testing.T) {
 	rec := httptest.NewRecorder()
 	WriteError(rec, http.StatusTooManyRequests, "admission queue full")
@@ -102,5 +104,42 @@ func TestTenantContext(t *testing.T) {
 	}
 	if got := Tenant(WithTenant(ctx, "acme")); got != "acme" {
 		t.Fatalf("tenant = %q", got)
+	}
+}
+
+// TestDeadlineBudgetResolution pins the tighter-wins rule, and that a
+// spent budget is told apart from a malformed one.
+func TestDeadlineBudgetResolution(t *testing.T) {
+	mk := func(header string) *http.Request {
+		r := httptest.NewRequest(http.MethodPost, "/v1/run", nil)
+		if header != "" {
+			r.Header.Set(DeadlineHeader, header)
+		}
+		return r
+	}
+	for _, tc := range []struct {
+		header string
+		bodyMS int64
+		want   time.Duration
+	}{
+		{"", 0, 0},
+		{"", 250, 250 * time.Millisecond},
+		{"100", 250, 100 * time.Millisecond}, // header tighter
+		{"250", 100, 100 * time.Millisecond}, // body tighter
+		{"100", 0, 100 * time.Millisecond},   // header alone
+	} {
+		got, err := DeadlineBudget(mk(tc.header), tc.bodyMS)
+		if err != nil || got != tc.want {
+			t.Errorf("DeadlineBudget(header=%q, body=%d) = %v, %v; want %v", tc.header, tc.bodyMS, got, err, tc.want)
+		}
+	}
+	if _, err := DeadlineBudget(mk("-5"), 0); err == nil {
+		t.Error("negative X-Deadline did not error")
+	}
+	if _, err := DeadlineBudget(mk("0"), 250); !errors.Is(err, ErrDeadlineExpired) {
+		t.Errorf("X-Deadline 0: %v, want ErrDeadlineExpired", err)
+	}
+	if _, err := DeadlineBudget(mk("soon"), 0); err == nil || errors.Is(err, ErrDeadlineExpired) {
+		t.Errorf("malformed X-Deadline: %v, want a parse error", err)
 	}
 }
